@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -139,6 +140,25 @@ def _emit(obj: object, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+#: Flags whose value is a complex literal.  argparse reads a value such as
+#: "-0.3+0.2j", which starts with "-" but is no plain negative real, as
+#: another option.
+_COMPLEX_FLAGS = ("--sigma", "--xi")
+_SIGNED_LITERAL = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv: Sequence[str]) -> list:
+    """Rewrite '--xi -0.25-0.1j' as '--xi=-0.25-0.1j', the form argparse
+    accepts for a complex literal with a leading minus."""
+    out: list = []
+    for token in argv:
+        if out and out[-1] in _COMPLEX_FLAGS and _SIGNED_LITERAL.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_complex(text: str, flag: str) -> complex:
@@ -453,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_signed_values(argv))
     try:
         return args.handler(args)
     except _VALIDATION_ERRORS as exc:

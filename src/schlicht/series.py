@@ -279,13 +279,23 @@ def sqrt_even_transform(f: TruncatedSeries) -> NormalizedSeries:
 def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
     """Series of f((z + sigma)/(1 + conj(sigma) z)) to the order of f.
 
-    Requires |sigma| < 1.  Accumulates sum c_n w(z)^n over the powers of
-    the automorphism series w.  Each truncated product is exact (product
-    coefficient k only sees factor coefficients up to k), and |w| < 1 on
-    the disk keeps every power's coefficients bounded by 1, so no
-    cancellation blowup occurs at high order.  Recentering a polynomial
-    through its shifted coefficients instead loses all precision beyond
-    modest orders: those intermediates grow like (1/(1-|sigma|))^n.
+    Requires |sigma| < 1.  Accumulates sum c_k w(z)^k over the powers of
+    the automorphism w = (z + sigma)/(1 + conj(sigma) z).  Writing M[k, j]
+    for the coefficient of z^j in w^k, the identity
+    w^k (1 + conj(sigma) z) = w^(k-1) (z + sigma) gives, exactly,
+
+        M[k, j] = sigma M[k-1, j] + M[k-1, j-1] - conj(sigma) M[k, j-1],
+
+    with M[0, j] = 1 if j = 0 else 0.  An anti-diagonal k + j = d depends
+    only on the two before it, so each of the 2N anti-diagonals (N the
+    order) is one vector step over k, and c_k M[k, d-k] is added to the
+    output as it appears: O(N^2) time and O(N) memory.
+
+    The recurrence only multiplies row k - 1 by w, an isometry of H^2,
+    so rounding errors are carried along without growth and every power's
+    coefficients stay bounded by 1.  Recentering a polynomial through its Taylor-shifted
+    coefficients instead loses all precision beyond modest orders: those
+    intermediates grow like (1/(1-|sigma|))^N.
     """
     sigma = complex(sigma)
     if abs(sigma) >= 1:
@@ -293,17 +303,24 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
     if sigma == 0:
         return TruncatedSeries(f.coeffs)
     n = f.order
-    w = np.zeros(n + 1, dtype=complex)
-    w[0] = sigma
-    if n >= 1:
-        w[1:] = (1 - abs(sigma) ** 2) * (-np.conj(sigma)) ** np.arange(n)
+    c = f.coeffs
+    sbar = sigma.conjugate()
     out = np.zeros(n + 1, dtype=complex)
-    out[0] = f.coeffs[0]
-    power = np.zeros(n + 1, dtype=complex)
-    power[0] = 1.0
-    for c in f.coeffs[1:]:
-        power = np.convolve(power, w)[: n + 1]
-        out += c * power
+    out[0] = c[0]
+    # older[k] and newer[k] hold M[k, d - k] on anti-diagonals d - 2 and d - 1;
+    # older is overwritten with anti-diagonal d.  Entries with d - k > n go
+    # stale there, and no later step reads them.
+    older = np.zeros(n + 1, dtype=complex)
+    newer = np.zeros(n + 1, dtype=complex)
+    newer[0] = 1.0
+    for d in range(1, 2 * n + 1):
+        lo, hi = max(1, d - n), min(d, n)
+        older[lo : hi + 1] = (
+            sigma * newer[lo - 1 : hi] + older[lo - 1 : hi] - sbar * newer[lo : hi + 1]
+        )
+        older[0] = 0.0  # M[0, d] for d >= 1
+        out[d - hi : d - lo + 1] += (c[lo : hi + 1] * older[lo : hi + 1])[::-1]
+        older, newer = newer, older
     return TruncatedSeries(out)
 
 
@@ -339,7 +356,7 @@ def series_from_dict(data: dict) -> TruncatedSeries:
         rows = data["coeffs"]
     except (TypeError, KeyError) as exc:
         raise InvalidParameter("series record needs 'order' and 'coeffs'") from exc
-    if not isinstance(order, int) or order < 0:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise InvalidParameter("order must be a nonnegative integer")
     if len(rows) != order + 1:
         raise InvalidParameter("coefficient list must have length order + 1")

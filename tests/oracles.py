@@ -52,6 +52,27 @@ def naive_compose(outer, inner, order: int) -> np.ndarray:
     return out
 
 
+def mp_mobius_recompose(coeffs, sigma: complex, dps: int = 40) -> np.ndarray:
+    """Coefficients of f((z + sigma)/(1 + conj(sigma) z)) through the order
+    of f, at `dps` decimal digits with mpmath.  Horner's scheme in
+    w = (z + sigma)/(1 + conj(sigma) z): each step multiplies the truncated
+    accumulator by (z + sigma) and divides it by (1 + conj(sigma) z)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = mpmath.mpc(complex(sigma))
+        sbar = mpmath.conj(s)
+        n = len(coeffs) - 1
+        acc = [mpmath.mpc(0)] * (n + 1)
+        for c in coeffs[::-1]:
+            prod = [s * acc[0]] + [acc[j - 1] + s * acc[j] for j in range(1, n + 1)]
+            acc = [prod[0]]
+            for j in range(1, n + 1):
+                acc.append(prod[j] - sbar * acc[j - 1])
+            acc[0] += mpmath.mpc(complex(c))
+        return np.array([complex(x) for x in acc])
+
+
 def fft_coefficients(values_fn, order: int, radius: float = 0.5, n_samples: int = 128) -> np.ndarray:
     """Taylor coefficients 0..order of an analytic function from its
     values on |z| = radius.  Exact (to roundoff) for polynomials of

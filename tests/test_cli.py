@@ -88,6 +88,22 @@ class TestFunctional:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    [
+        (("transform", "autom"), "--sigma", "-0.3+0.2j"),
+        (("transform", "omit"), "--xi", "-0.25-0.1j"),
+        (("functional", "covering"), "--xi", "-0.25-0.1j"),
+    ],
+)
+def test_negative_complex_value_after_space(verb, flag, value):
+    koebe = build("koebe", 8)
+    spaced = run_cli(*verb, flag, value, stdin=koebe)
+    joined = run_cli(*verb, f"{flag}={value}", stdin=koebe)
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+
+
 class TestTransform:
     def test_double_libera_round_trip(self):
         once = run_cli("transform", "libera", stdin=build("koebe", 16))
@@ -99,6 +115,13 @@ class TestTransform:
             want = k * (2.0 / (k + 1.0)) ** 2
             assert abs(coeffs[k][0] - want) < 1e-12
             assert coeffs[k][1] == 0.0
+
+    def test_bool_order_in_input_exits_two(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"order": True, "coeffs": [[0, 0], [1, 0]]}))
+        proc = run_cli("transform", "rotate", "--theta", "0", "--input", str(path))
+        assert proc.returncode == 2
+        assert "nonnegative integer" in proc.stderr
 
     def test_convolve_requires_with(self):
         proc = run_cli("transform", "convolve", stdin=build("koebe", 8))

@@ -6,19 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schlicht import (
+    Dilation,
     NormalizedSeries,
     TruncatedSeries,
+    apply,
     compose,
     differentiate,
     divide,
     evaluate,
     evaluate_many,
+    from_starlike,
     integrate_from_zero,
     koebe,
     moebius,
     multiply,
     principal_log,
     principal_power,
+    sample,
     series_from_dict,
     series_to_dict,
     sqrt_even_transform,
@@ -29,10 +33,11 @@ from schlicht.errors import (
     DivisionBySingularSeries,
     InvalidParameter,
 )
-from schlicht.series import constant, shift_down
+from schlicht.series import constant, mobius_recompose, shift_down
 
 from oracles import (
     fft_coefficients,
+    mp_mobius_recompose,
     naive_compose,
     naive_truncated_product,
     random_coeffs,
@@ -81,6 +86,10 @@ class TestJson:
     def test_missing_keys(self):
         with pytest.raises(InvalidParameter):
             series_from_dict({"coeffs": [[1.0, 0.0]]})
+
+    def test_bool_order_rejected(self):
+        with pytest.raises(InvalidParameter):
+            series_from_dict({"order": True, "coeffs": [[0, 0], [1, 0]]})
 
 
 class TestMultiply:
@@ -314,3 +323,23 @@ class TestEvaluate:
         many = evaluate_many(f, zs)
         for z, w in zip(zs, many):
             assert abs(evaluate(f, z) - w) < 1e-13
+
+
+class TestMobiusRecompose:
+    @pytest.mark.parametrize(
+        "sigma", [0.05 * cmath.exp(0.3j), 0.1, 0.45 * cmath.exp(2j), 0.8 * cmath.exp(1j)]
+    )
+    def test_matches_high_precision_reference(self, sigma):
+        pytest.importorskip("mpmath")
+        f = apply(Dilation(0.9), from_starlike(sample(5, 4, order=96)))
+        got = mobius_recompose(f, sigma).coeffs
+        want = mp_mobius_recompose(f.coeffs, sigma)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sigma", [0.5, -0.5j, 0.5 * cmath.exp(2j), 0.3 + 0.1j, 0.05])
+    def test_inverse_center_round_trip(self, sigma):
+        # the truncated tail of f(w) feeds back into low coefficients on the
+        # way back, so f is dilated until that tail sits below rounding
+        f = apply(Dilation(0.1), from_starlike(sample(3, 5, order=64)))
+        back = mobius_recompose(mobius_recompose(f, sigma), -sigma)
+        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
