@@ -1,0 +1,231 @@
+"""Golden CLI corpus: fixed invocations of schlicht.cli.main with their
+expected stdout bytes and exit codes, run in-process.
+
+A case is (name, argv, stdin, files).  stdin is either literal text or
+PIPE(argv, ...), the stdout of earlier invocations piped in turn; files
+maps a file name to such a pipe and is written to a temporary directory
+that argv reaches as "{tmp}".  A file that an invocation writes (the
+check --boundary CSV) is compared byte for byte too.  stderr is not
+pinned.
+
+The expected results live in tests/golden/expected.json.  Regenerate
+them with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+only when an output change is intended, and say which bytes changed
+and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from schlicht.cli import main
+
+EXPECTED = Path(__file__).parent / "golden" / "expected.json"
+
+
+class PIPE(tuple):
+    """stdout of the given argv lists, each fed to the next."""
+
+    def __new__(cls, *stages):
+        return super().__new__(cls, stages)
+
+
+KOEBE8 = PIPE(["build", "koebe", "--order", "8"])
+KOEBE16 = PIPE(["build", "koebe", "--order", "16"])
+THMB16 = PIPE(["build", "thmB", "--order", "16"])
+SMALL_KOEBE = PIPE(["build", "koebe", "--order", "16"], ["transform", "dilate", "--r", "0.4"])
+CARATHEODORY = PIPE(["sample", "--seed", "3", "--atoms", "2", "--order", "16"])
+G_FILE = {"g.json": PIPE(["build", "identity", "--order", "16"])}
+WITH_FILE = {"g.json": THMB16}
+BOOL_ORDER = json.dumps({"order": True, "coeffs": [[0, 0], [1, 0]]})
+
+CASES = [
+    # build: every stock tag, the default order, an unknown tag
+    ("build-koebe", ["build", "koebe", "--order", "8"], "", {}),
+    ("build-koebe-default", ["build", "koebe"], "", {}),
+    ("build-moebius", ["build", "moebius", "--order", "8"], "", {}),
+    ("build-identity", ["build", "identity", "--order", "4"], "", {}),
+    ("build-thmA", ["build", "thmA", "--order", "8"], "", {}),
+    ("build-thmB", ["build", "thmB", "--order", "8"], "", {}),
+    ("build-unknown-tag", ["build", "lemniscate"], "", {}),
+    ("unknown-verb", ["frobnicate"], "", {}),
+    # transform: every kind
+    ("transform-rotate", ["transform", "rotate", "--theta", "0.7"], THMB16, {}),
+    ("transform-dilate", ["transform", "dilate", "--r", "0.5"], KOEBE16, {}),
+    ("transform-autom", ["transform", "autom", "--sigma", "0.3+0.2j"], THMB16, {}),
+    ("transform-autom-signed", ["transform", "autom", "--sigma", "-0.3+0.2j"], THMB16, {}),
+    ("transform-omit", ["transform", "omit", "--xi", "-1+0.5j"], SMALL_KOEBE, {}),
+    ("transform-omit-attained", ["transform", "omit", "--xi", "0.6"],
+     PIPE(["build", "identity", "--order", "8"]), {}),
+    ("transform-omit-unstable", ["transform", "omit", "--xi", "0.3"], KOEBE16, {}),
+    ("transform-sqrt", ["transform", "sqrt"], KOEBE8, {}),
+    ("transform-libera", ["transform", "libera"], KOEBE16, {}),
+    ("transform-bernardi", ["transform", "bernardi", "--gamma", "0.5"], THMB16, {}),
+    ("transform-convolve", ["transform", "convolve", "--with", "{tmp}/g.json"], KOEBE16, WITH_FILE),
+    ("transform-linsum", ["transform", "linsum", "--with", "{tmp}/g.json", "--t", "0.25"],
+     KOEBE16, WITH_FILE),
+    ("transform-iterate", ["transform", "iterate", "--alpha", "1.5", "--n", "3"], CARATHEODORY, {}),
+    ("transform-iterate-sigma", ["transform", "iterate-sigma", "--sigma", "4.5", "--n", "3"],
+     CARATHEODORY, {}),
+    # transform: missing flags and bad input
+    ("transform-rotate-no-theta", ["transform", "rotate"], KOEBE8, {}),
+    ("transform-dilate-no-r", ["transform", "dilate"], KOEBE8, {}),
+    ("transform-autom-no-sigma", ["transform", "autom"], KOEBE8, {}),
+    ("transform-omit-no-xi", ["transform", "omit"], KOEBE8, {}),
+    ("transform-bernardi-no-gamma", ["transform", "bernardi"], KOEBE8, {}),
+    ("transform-convolve-no-with", ["transform", "convolve"], KOEBE8, {}),
+    ("transform-linsum-no-t", ["transform", "linsum", "--with", "{tmp}/g.json"], KOEBE8, WITH_FILE),
+    ("transform-iterate-no-n", ["transform", "iterate", "--alpha", "1"], CARATHEODORY, {}),
+    ("transform-iterate-sigma-no-sigma", ["transform", "iterate-sigma", "--n", "1"],
+     CARATHEODORY, {}),
+    ("transform-iterate-sigma-complex", ["transform", "iterate-sigma", "--sigma", "1+2j", "--n", "1"],
+     CARATHEODORY, {}),
+    ("transform-iterate-not-caratheodory", ["transform", "iterate", "--alpha", "1", "--n", "1"],
+     KOEBE8, {}),
+    ("transform-autom-bad-literal", ["transform", "autom", "--sigma", "abc"], KOEBE8, {}),
+    ("transform-dilate-out-of-range", ["transform", "dilate", "--r", "1.5"], KOEBE8, {}),
+    ("transform-unnormalized", ["transform", "rotate", "--theta", "0"],
+     PIPE(["build", "moebius", "--order", "8"]), {}),
+    ("transform-bad-json", ["transform", "rotate", "--theta", "0"], "not json {", {}),
+    ("transform-bool-order", ["transform", "rotate", "--theta", "0"], BOOL_ORDER, {}),
+    ("transform-unknown-kind", ["transform", "frobnicate"], KOEBE8, {}),
+    # check: every class, the boundary CSV, stdin input
+    ("check-bounded-turning", ["check", "--class", "bounded-turning", "--function", "thmB",
+                               "--r", "0.9"], "", {}),
+    ("check-starlike", ["check", "--class", "starlike", "--function", "koebe", "--r", "0.5"], "", {}),
+    ("check-convex-boundary", ["check", "--class", "convex", "--function", "koebe", "--r", "0.3",
+                               "--angles", "16", "--boundary", "{tmp}/curve.csv"], "", {}),
+    ("check-close-to-convex", ["check", "--class", "close-to-convex", "--function", "koebe",
+                               "--r", "0.5", "--g", "{tmp}/g.json"], "", G_FILE),
+    ("check-ratio-positive", ["check", "--class", "ratio-positive", "--function", "thmA",
+                              "--r", "0.6"], "", {}),
+    ("check-quasi-convex", ["check", "--class", "quasi-convex", "--function", "koebe",
+                            "--r", "0.2", "--g", "{tmp}/g.json"], "", G_FILE),
+    ("check-injectivity", ["check", "--class", "injectivity", "--function", "koebe",
+                           "--r", "0.9"], "", {}),
+    ("check-starlike-stdin", ["check", "--class", "starlike", "--r", "0.5"], THMB16, {}),
+    ("check-close-to-convex-no-g", ["check", "--class", "close-to-convex", "--function", "koebe",
+                                    "--r", "0.5"], "", {}),
+    ("check-function-and-input", ["check", "--class", "starlike", "--function", "koebe",
+                                  "--input", "{tmp}/g.json", "--r", "0.5"], "", G_FILE),
+    # radius: every predicate
+    ("radius-local-univalence", ["radius", "local-univalence", "--function", "thmA"], "", {}),
+    ("radius-local-univalence-identity", ["radius", "local-univalence", "--function", "identity",
+                                          "--order", "8"], "", {}),
+    ("radius-convex", ["radius", "convex", "--function", "koebe"], "", {}),
+    ("radius-starlike-flag", ["radius", "--predicate", "starlike", "--function", "thmB",
+                              "--order", "32"], "", {}),
+    ("radius-bounded-turning", ["radius", "bounded-turning", "--function", "koebe",
+                                "--order", "32"], "", {}),
+    ("radius-ratio-positive", ["radius", "ratio-positive", "--function", "thmA",
+                               "--order", "32"], "", {}),
+    ("radius-close-to-convex", ["radius", "close-to-convex", "--function", "koebe",
+                                "--order", "16", "--g", "{tmp}/g.json"], "", G_FILE),
+    ("radius-quasi-convex", ["radius", "quasi-convex", "--function", "koebe",
+                             "--order", "16", "--g", "{tmp}/g.json"], "", G_FILE),
+    ("radius-no-predicate", ["radius", "--function", "koebe"], "", {}),
+    # functional: every kind
+    ("functional-fekete", ["functional", "fekete", "--alpha", "0.25", "--function", "koebe",
+                           "--order", "8"], "", {}),
+    ("functional-fekete-no-alpha", ["functional", "fekete", "--function", "koebe"], "", {}),
+    ("functional-hankel", ["functional", "hankel", "--q", "3", "--n", "1", "--function", "koebe",
+                           "--order", "8"], "", {}),
+    ("functional-hankel-thmB", ["functional", "hankel", "--q", "2", "--n", "2"], THMB16, {}),
+    ("functional-hankel-q0", ["functional", "hankel", "--q", "0", "--function", "koebe"], "", {}),
+    ("functional-bieberbach", ["functional", "bieberbach", "--function", "thmB",
+                               "--order", "16"], "", {}),
+    ("functional-covering", ["functional", "covering", "--xi", "-0.25", "--function", "koebe",
+                             "--order", "8"], "", {}),
+    ("functional-covering-no-xi", ["functional", "covering", "--function", "koebe"], "", {}),
+    # sample and report
+    ("sample-series", ["sample", "--seed", "7", "--atoms", "3", "--order", "16"], "", {}),
+    ("sample-measure", ["sample", "--seed", "7", "--atoms", "3", "--measure"], "", {}),
+    ("sample-no-atoms", ["sample", "--atoms", "0"], "", {}),
+    ("report-seed0", ["report", "--seed", "0"], "", {}),
+    ("report-seed1", ["report", "--seed", "1"], "", {}),
+    ("report-seed2", ["report", "--seed", "2"], "", {}),
+    ("report-small", ["report", "--seed", "5", "--samples", "20", "--order", "8"], "", {}),
+    ("report-no-samples", ["report", "--samples", "0"], "", {}),
+    ("report-order-too-low", ["report", "--order", "1"], "", {}),
+]
+
+#: Files an invocation writes, compared after the run.
+WRITTEN = ("curve.csv",)
+
+
+def invoke(argv: list, stdin: str = "") -> tuple[int, str]:
+    """Exit code and stdout of schlicht.cli.main(argv), in this process."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _text(source) -> str:
+    if not isinstance(source, PIPE):
+        return source
+    text = ""
+    for argv in source:
+        code, text = invoke(argv, text)
+        assert code == 0, f"pipe stage {argv} exited {code}"
+    return text
+
+
+def run_case(argv: list, stdin, files: dict, tmp: Path) -> dict:
+    for name, source in files.items():
+        (tmp / name).write_text(_text(source), encoding="utf-8")
+    code, stdout = invoke([a.replace("{tmp}", str(tmp)) for a in argv], _text(stdin))
+    result = {"exit": code, "stdout": stdout}
+    written = {n: (tmp / n).read_text(encoding="utf-8") for n in WRITTEN if (tmp / n).exists()}
+    if written:
+        result["files"] = written
+    return result
+
+
+def test_case_names_are_unique():
+    names = [case[0] for case in CASES]
+    assert len(names) == len(set(names))
+
+
+@pytest.fixture(scope="module")
+def expected() -> dict:
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+def test_corpus_matches_expected_cases(expected):
+    assert sorted(expected) == sorted(case[0] for case in CASES)
+
+
+@pytest.mark.parametrize("name, argv, stdin, files", CASES, ids=[c[0] for c in CASES])
+def test_golden(name, argv, stdin, files, expected, tmp_path):
+    assert run_case(argv, stdin, files, tmp_path) == expected[name]
+
+
+def write_expected() -> None:
+    results = {}
+    for name, argv, stdin, files in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            results[name] = run_case(argv, stdin, files, Path(tmp))
+    EXPECTED.parent.mkdir(exist_ok=True)
+    EXPECTED.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    write_expected()
