@@ -9,7 +9,6 @@ bound minus value, so a violation is a margin below -VIOLATION_EPS.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,8 @@ from .series import (
     mobius_recompose,
     multiply,
     principal_power,
+    require_count,
+    require_real,
 )
 
 #: Uniform strictness for all violation flags in this module.
@@ -119,8 +120,7 @@ def measure_from_dict(data: dict) -> HerglotzMeasure:
 
 def herglotz_to_series(m: HerglotzMeasure, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series with c_0 = 1 and c_k = 2 sum_j mu_j exp(-i k t_j)."""
-    if order < 0:
-        raise InvalidParameter("order must be nonnegative")
+    require_count(order, "order")
     c = np.zeros(order + 1, dtype=complex)
     c[0] = 1.0
     if order >= 1:
@@ -145,7 +145,8 @@ def evaluate_measure(m: HerglotzMeasure, z):
     return out.reshape(zs.shape)
 
 
-def _require_caratheodory(h: TruncatedSeries) -> None:
+def require_caratheodory(h: TruncatedSeries) -> None:
+    """Raise NotCaratheodoryNormalized unless |c_0 - 1| <= 1e-12."""
     if abs(h.coeffs[0] - 1.0) > 1e-12:
         raise NotCaratheodoryNormalized("expected constant term 1")
 
@@ -203,7 +204,7 @@ def h_to_schwarz(h: TruncatedSeries) -> SchwarzFunction:
     The quotient's constant term vanishes up to rounding for a
     normalized h and is snapped to exactly zero.
     """
-    _require_caratheodory(h)
+    require_caratheodory(h)
     den = h + 1
     if abs(den.coeffs[0]) <= 1e-12:
         raise ConstantDenominatorZero("h + 1 vanishes at 0")
@@ -225,12 +226,6 @@ _PRESERVE_ALIASES = {
 }
 
 PRESERVE_KINDS = tuple(_PRESERVE_ALIASES.values())
-
-
-def _require_real(t, kind: str) -> float:
-    if isinstance(t, numbers.Real):
-        return float(t)
-    raise InvalidParameter(f"{kind} needs a real parameter")
 
 
 def _snap_unit_constant(coeffs: np.ndarray) -> TruncatedSeries:
@@ -257,17 +252,11 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
     The output constant term is 1 (exactly; it is snapped after the
     final division where rounding could leave residue below 1e-12).
     """
-    _require_caratheodory(g)
+    require_caratheodory(g)
     kind = _PRESERVE_ALIASES.get(kind, kind)
+    if kind not in PRESERVE_KINDS:
+        raise InvalidParameter(f"unknown preserve kind: {kind!r}")
     n = g.order
-    if kind == "rotate":
-        tr = _require_real(t, kind)
-        return TruncatedSeries(g.coeffs * np.exp(1j * tr * np.arange(n + 1)))
-    if kind == "shrink":
-        tr = _require_real(t, kind)
-        if not -1.0 <= tr <= 1.0:
-            raise InvalidParameter("shrink needs t in [-1, 1]")
-        return TruncatedSeries(g.coeffs * tr ** np.arange(n + 1))
     if kind == "recenter":
         tc = complex(t)
         if abs(tc) >= 1:
@@ -277,34 +266,36 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
         if abs(center) <= 1e-12:
             raise ConstantDenominatorZero("g vanishes at the new center")
         return _snap_unit_constant(moved.coeffs / center)
+    tr = require_real(t, "t")
+    if kind == "rotate":
+        return TruncatedSeries(g.coeffs * np.exp(1j * tr * np.arange(n + 1)))
+    if kind == "shrink":
+        if not -1.0 <= tr <= 1.0:
+            raise InvalidParameter("shrink needs t in [-1, 1]")
+        return TruncatedSeries(g.coeffs * tr ** np.arange(n + 1))
     if kind == "value_automorphism":
-        tr = _require_real(t, kind)
         num = g + 1j * tr
         den = (1j * tr) * g + 1
         return _snap_unit_constant(divide(num, den).coeffs)
     if kind == "power":
-        tr = _require_real(t, kind)
         if not -1.0 <= tr <= 1.0:
             raise InvalidParameter("power needs t in [-1, 1]")
         return principal_power(g, tr)
-    if kind == "power_product":
-        tr = _require_real(t, kind)
-        if h is None or tau is None:
-            raise InvalidParameter("power_product needs h and tau")
-        ta = _require_real(tau, kind)
-        if not (0 <= tr <= 1 and 0 <= ta <= 1 and tr + ta <= 1 + 1e-12):
-            raise InvalidParameter("power_product needs t, tau, t + tau in [0, 1]")
-        _require_caratheodory(h)
-        return multiply(principal_power(g, tr), principal_power(h, ta))
-    raise InvalidParameter(f"unknown preserve kind: {kind!r}")
+    # power_product
+    if h is None or tau is None:
+        raise InvalidParameter("power_product needs h and tau")
+    ta = require_real(tau, "tau")
+    if not (0 <= tr <= 1 and 0 <= ta <= 1 and tr + ta <= 1 + 1e-12):
+        raise InvalidParameter("power_product needs t, tau, t + tau in [0, 1]")
+    require_caratheodory(h)
+    return multiply(principal_power(g, tr), principal_power(h, ta))
 
 
 def sample_measure(rng_seed: int, n_atoms: int) -> HerglotzMeasure:
     """Deterministic random measure: angles uniform on [0, 2*pi),
     weights from the flat simplex via sorted-uniform spacings.  A single
     64-bit seed drives both draws (angles first, then weights)."""
-    if n_atoms < 1:
-        raise InvalidParameter("need at least one atom")
+    require_count(n_atoms, "n_atoms", positive=True)
     rng = np.random.default_rng(rng_seed)
     angles = rng.uniform(0.0, 2 * np.pi, n_atoms)
     if n_atoms == 1:
@@ -322,7 +313,7 @@ def sample(rng_seed: int, n_atoms: int, order: int = DEFAULT_ORDER) -> Truncated
 
 def check_coefficient_bound(h: TruncatedSeries) -> MarginReport:
     """Margins 2 - |c_k| for k >= 1 (sharp bound for the class)."""
-    _require_caratheodory(h)
+    require_caratheodory(h)
     if h.order < 1:
         raise OrderTooLow("need at least one coefficient beyond the constant")
     margins = tuple(
@@ -334,7 +325,7 @@ def check_coefficient_bound(h: TruncatedSeries) -> MarginReport:
 def check_pommerenke(h: TruncatedSeries) -> MarginReport:
     """Margin (2 - |c_1|^2/2) - |c_2 - c_1^2/2| of the sharp second
     coefficient inequality."""
-    _require_caratheodory(h)
+    require_caratheodory(h)
     if h.order < 2:
         raise OrderTooLow("need order >= 2")
     c1 = complex(h.coeffs[1])

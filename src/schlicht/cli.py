@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .caratheodory import (
+    VIOLATION_EPS,
     check_coefficient_bound,
     check_pommerenke,
     measure_to_dict,
@@ -48,6 +49,8 @@ from .errors import (
 from .functionals import bieberbach_check, covering_check, fekete_szego, hankel
 from .probe import (
     CLASS_KINDS,
+    circle,
+    circle_angles,
     class_predicate,
     class_radius,
     injectivity_probe,
@@ -57,6 +60,7 @@ from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
     evaluate_many,
+    require_count,
     series_from_dict,
     series_to_dict,
 )
@@ -75,6 +79,7 @@ from .transforms import (
     iterate_sigma,
 )
 from .zoo import (
+    STOCK_FUNCTIONS,
     convex_extremal,
     from_bounded_turning,
     from_close_to_convex,
@@ -83,21 +88,10 @@ from .zoo import (
     named_function,
 )
 
-BUILD_TAGS = ("koebe", "moebius", "identity", "thmA", "thmB")
-
-TRANSFORM_KINDS = (
-    "rotate",
-    "dilate",
-    "autom",
-    "omit",
-    "sqrt",
-    "libera",
-    "bernardi",
-    "convolve",
-    "linsum",
-    "iterate",
-    "iterate-sigma",
-)
+#: Largest --order and --samples accepted, so that a typo cannot ask
+#: for gigabytes of coefficients or hours of sampling.
+MAX_ORDER = 4096
+MAX_SAMPLES = 10**6
 
 CHECK_KINDS = tuple(k.replace("_", "-") for k in CLASS_KINDS) + ("injectivity",)
 
@@ -168,6 +162,13 @@ def _parse_complex(text: str, flag: str) -> complex:
         raise InvalidParameter(f"{flag} must be a complex literal, got {text!r}") from exc
 
 
+def _parse_real(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InvalidParameter(f"{flag} must be a real number, got {text!r}") from exc
+
+
 def _resolve_input(args: argparse.Namespace) -> TruncatedSeries:
     """Series for verbs that accept either --function NAME or series JSON."""
     function = getattr(args, "function", None)
@@ -178,19 +179,12 @@ def _resolve_input(args: argparse.Namespace) -> TruncatedSeries:
     return _read_series(args.input)
 
 
-def _require_flag(value, flag: str, kind: str):
-    if value is None:
-        raise InvalidParameter(f"transform {kind!r} requires {flag}")
-    return value
-
-
 def _write_boundary_csv(path: str, f: TruncatedSeries, r: float, n_angles: int) -> None:
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    values = evaluate_many(f, r * np.exp(1j * theta))
+    values = evaluate_many(f, circle(r, n_angles))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "re", "im"])
-        for t, w in zip(theta, values):
+        for t, w in zip(circle_angles(n_angles), values):
             writer.writerow([repr(float(t)), repr(float(w.real)), repr(float(w.imag))])
 
 
@@ -200,45 +194,41 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Transform kind -> (flags it requires, map from the input series and
+#: those flags' values to the output series).  The argparse choices of
+#: the transform verb are this table's keys.
+TRANSFORMS = {
+    "rotate": (("--theta",), lambda f, theta: apply(Rotation(theta), f)),
+    "dilate": (("--r",), lambda f, r: apply(Dilation(r), f)),
+    "autom": (
+        ("--sigma",),
+        lambda f, sigma: apply(DiskAutomorphism(_parse_complex(sigma, "--sigma")), f),
+    ),
+    "omit": (("--xi",), lambda f, xi: apply(OmittedValue(_parse_complex(xi, "--xi")), f)),
+    "sqrt": ((), lambda f: apply(SquareRoot(), f)),
+    "libera": ((), lambda f: apply(Libera(), f)),
+    "bernardi": (("--gamma",), lambda f, gamma: apply(Bernardi(gamma), f)),
+    "convolve": (("--with",), lambda f, path: convolve(f, _read_series(path))),
+    "linsum": (
+        ("--with", "--t"),
+        lambda f, path, t: apply(LinearSum(t, _read_series(path)), f),
+    ),
+    "iterate": (("--alpha", "--n"), iterate_alpha),
+    "iterate-sigma": (
+        ("--sigma", "--n"),
+        lambda f, sigma, n: iterate_sigma(f, _parse_real(sigma, "--sigma"), n),
+    ),
+}
+
+
 def cmd_transform(args: argparse.Namespace) -> int:
     f = _read_series(args.input)
-    kind = args.kind
-    if kind == "rotate":
-        out = apply(Rotation(_require_flag(args.theta, "--theta", kind)), f)
-    elif kind == "dilate":
-        out = apply(Dilation(_require_flag(args.r, "--r", kind)), f)
-    elif kind == "autom":
-        sigma = _parse_complex(_require_flag(args.sigma, "--sigma", kind), "--sigma")
-        out = apply(DiskAutomorphism(sigma), f)
-    elif kind == "omit":
-        xi = _parse_complex(_require_flag(args.xi, "--xi", kind), "--xi")
-        out = apply(OmittedValue(xi), f)
-    elif kind == "sqrt":
-        out = apply(SquareRoot(), f)
-    elif kind == "libera":
-        out = apply(Libera(), f)
-    elif kind == "bernardi":
-        out = apply(Bernardi(_require_flag(args.gamma, "--gamma", kind)), f)
-    elif kind == "convolve":
-        other = _read_series(_require_flag(args.with_path, "--with", kind))
-        out = convolve(f, other)
-    elif kind == "linsum":
-        other = _read_series(_require_flag(args.with_path, "--with", kind))
-        t = _require_flag(args.t, "--t", kind)
-        out = apply(LinearSum(t, other), f)
-    elif kind == "iterate":
-        alpha = _require_flag(args.alpha, "--alpha", kind)
-        out = iterate_alpha(f, alpha, _require_flag(args.n, "--n", kind))
-    elif kind == "iterate-sigma":
-        sigma_text = _require_flag(args.sigma, "--sigma", kind)
-        try:
-            sigma = float(sigma_text)
-        except ValueError as exc:
-            raise InvalidParameter(f"--sigma must be a real number, got {sigma_text!r}") from exc
-        out = iterate_sigma(f, sigma, _require_flag(args.n, "--n", kind))
-    else:  # pragma: no cover - argparse choices guard this
-        raise InvalidParameter(f"unknown transform kind {kind!r}")
-    _emit(series_to_dict(out), args.output)
+    flags, transform = TRANSFORMS[args.kind]
+    values = [getattr(args, flag[2:]) for flag in flags]
+    for flag, value in zip(flags, values):
+        if value is None:
+            raise InvalidParameter(f"transform {args.kind!r} requires {flag}")
+    _emit(series_to_dict(transform(f, *values)), args.output)
     return 0
 
 
@@ -260,10 +250,6 @@ def cmd_radius(args: argparse.Namespace) -> int:
     predicate = args.predicate_flag if args.predicate_flag is not None else args.predicate
     if predicate is None:
         raise InvalidParameter("radius needs a predicate (positional or --predicate)")
-    if predicate not in RADIUS_PREDICATES:
-        raise InvalidParameter(
-            f"unknown predicate {predicate!r}; choose from {', '.join(RADIUS_PREDICATES)}"
-        )
     f = _resolve_input(args)
     if predicate == "local-univalence":
         angles = args.angles if args.angles is not None else 2048
@@ -340,7 +326,7 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
 
     def record(name: str, margin: float) -> None:
         worst[name] = min(worst[name], margin)
-        if margin < -1e-9:
+        if margin < -VIOLATION_EPS:
             violations[name] += 1
 
     def growth_margin(f, cap) -> float:
@@ -385,7 +371,7 @@ def _add_io(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
 def _add_function_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--function",
-        choices=BUILD_TAGS,
+        choices=STOCK_FUNCTIONS,
         help="use a named function instead of reading series JSON",
     )
     parser.add_argument(
@@ -404,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("build", help="emit a named function as series JSON")
-    p.add_argument("name", choices=BUILD_TAGS)
+    p.add_argument("name", choices=STOCK_FUNCTIONS)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     _add_io(p, with_input=False)
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("transform", help="apply a transform to a series")
-    p.add_argument("kind", choices=TRANSFORM_KINDS)
+    p.add_argument("kind", choices=TRANSFORMS)
     p.add_argument("--theta", type=float, help="rotation angle in radians")
     p.add_argument("--r", type=float, help="dilation factor in (0, 1)")
     p.add_argument("--sigma", help="disk point (autom) or real exponent (iterate-sigma)")
@@ -419,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="per-step weight for iterate")
     p.add_argument("--n", type=int, help="iteration count")
     p.add_argument("--t", type=float, help="mixing weight in [0, 1] for linsum")
-    p.add_argument("--with", dest="with_path", help="second series JSON file")
+    p.add_argument("--with", metavar="WITH_PATH", help="second series JSON file")
     _add_io(p)
     p.set_defaults(handler=cmd_transform)
 
@@ -476,6 +462,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_signed_values(argv))
     try:
+        if hasattr(args, "order"):
+            require_count(args.order, "--order", most=MAX_ORDER)
+        if hasattr(args, "samples"):
+            require_count(args.samples, "--samples", most=MAX_SAMPLES)
         return args.handler(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, OrderTooLow
-from .series import TruncatedSeries, require_normalized
+from .series import TruncatedSeries, require_count, require_normalized
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,8 @@ def hankel(f: TruncatedSeries, q: int, n: int) -> complex:
     LU factorization beyond.
     """
     require_normalized(f)
-    if not isinstance(q, int) or q < 1:
-        raise InvalidParameter("q must be a positive integer")
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameter("n must be a positive integer")
+    q = require_count(q, "q", positive=True)
+    n = require_count(n, "n", positive=True)
     need = n + 2 * (q - 1)
     if f.order < need:
         raise OrderTooLow(f"need order >= {need}")

@@ -5,6 +5,10 @@ Everything here samples finitely many points, so a passing check can
 refute a property but never certify it.  Thresholds are strict: a
 quantity counts as positive only when it clears POSITIVITY_EPS, and a
 radius bracket is reported with the predicate trace that produced it.
+
+Every probe samples the same equispaced circle, built by circle, and
+evaluates F or F' through the same factory, evaluator, which prefers a
+carried closed form over the truncated series.
 """
 
 from __future__ import annotations
@@ -34,6 +38,16 @@ INNER_RADIUS = 1e-3
 MAX_BISECTIONS = 64
 
 
+def circle_angles(n_angles: int) -> np.ndarray:
+    """The angles 2 pi k/n_angles, k = 0, ..., n_angles - 1."""
+    return 2 * np.pi * np.arange(n_angles) / n_angles
+
+
+def circle(r: float, n_angles: int) -> np.ndarray:
+    """The points r e^{i theta} on |z| = r at the circle_angles."""
+    return r * np.exp(1j * circle_angles(n_angles))
+
+
 @dataclass(frozen=True)
 class ProbeGrid:
     """Concentric sampling circles: strictly increasing radii in (0, 1),
@@ -54,12 +68,8 @@ class ProbeGrid:
     def default(cls) -> "ProbeGrid":
         return cls((0.3, 0.6, 0.9, 0.95), 64)
 
-    def circle(self, r: float) -> np.ndarray:
-        theta = 2 * np.pi * np.arange(self.angles_per_circle) / self.angles_per_circle
-        return r * np.exp(1j * theta)
-
     def points(self) -> np.ndarray:
-        return np.concatenate([self.circle(r) for r in self.radii])
+        return np.concatenate([circle(r, self.angles_per_circle) for r in self.radii])
 
 
 @dataclass(frozen=True)
@@ -102,17 +112,23 @@ def _as_series(f) -> TruncatedSeries:
     return obj
 
 
-def _as_evaluator(F) -> Callable[[np.ndarray], np.ndarray]:
-    """Accept a series, a named function, or an array-capable callable."""
-    if isinstance(F, TruncatedSeries):
-        return lambda zs: evaluate_many(F, zs)
-    cf = getattr(F, "closed_form", None)
+def evaluator(F, derivative: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """Array evaluator for F, or for F' when derivative is set.
+
+    Precedence: the closed form (closed_form_derivative for F') that a
+    named function carries, then the series (F itself or F.series,
+    differentiated for F'), then, for F only, a plain callable, which is
+    called point by point if it does not take arrays.  Closed forms
+    matter near |z| = 1, where a truncation's tail swamps the value.
+    """
+    cf = getattr(F, "closed_form_derivative" if derivative else "closed_form", None)
     if cf is not None:
         return lambda zs: np.asarray(cf(zs), dtype=complex)
-    ser = getattr(F, "series", None)
+    ser = getattr(F, "series", F)
     if isinstance(ser, TruncatedSeries):
+        ser = differentiate(ser) if derivative else ser
         return lambda zs: evaluate_many(ser, zs)
-    if callable(F):
+    if callable(F) and not derivative:
 
         def call(zs: np.ndarray) -> np.ndarray:
             try:
@@ -121,7 +137,7 @@ def _as_evaluator(F) -> Callable[[np.ndarray], np.ndarray]:
                 return np.array([complex(F(z)) for z in zs])
 
         return call
-    raise InvalidParameter("cannot evaluate object of this type")
+    raise InvalidParameter("expected a truncated series or named function")
 
 
 def min_real_part(F, r: float, n_angles: int = 256) -> float:
@@ -134,8 +150,7 @@ def min_real_part(F, r: float, n_angles: int = 256) -> float:
         raise InvalidParameter("radius must lie in (0, 1)")
     if n_angles < 8:
         raise InvalidParameter("need at least 8 angles")
-    theta = 2 * np.pi * np.arange(n_angles) / n_angles
-    vals = _as_evaluator(F)(r * np.exp(1j * theta))
+    vals = evaluator(F)(circle(r, n_angles))
     if not np.all(np.isfinite(vals)):
         raise EvaluationSingularity("sample hit a pole of the evaluator")
     return float(np.min(vals.real))
@@ -153,33 +168,13 @@ CLASS_KINDS = (
 )
 
 
-def _eval_f(F) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluator for F itself: closed form when carried, else the series."""
-    cf = getattr(F, "closed_form", None)
-    if cf is not None:
-        return lambda zs: np.asarray(cf(zs), dtype=complex)
-    s = _as_series(F)
-    return lambda zs: evaluate_many(s, zs)
-
-
-def _eval_fprime(F) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluator for F': closed-form derivative when carried, else the
-    differentiated series.  Closed forms matter near |z| = 1, where a
-    truncation's tail swamps the defining quantity."""
-    cfd = getattr(F, "closed_form_derivative", None)
-    if cfd is not None:
-        return lambda zs: np.asarray(cfd(zs), dtype=complex)
-    sp = differentiate(_as_series(F))
-    return lambda zs: evaluate_many(sp, zs)
-
-
 def _class_quantity(kind: str, f, zs: np.ndarray, g) -> np.ndarray:
     if kind == "bounded_turning":
-        return _eval_fprime(f)(zs)
+        return evaluator(f, derivative=True)(zs)
     if kind == "ratio_positive":
-        return _safe_quotient(_eval_f(f)(zs), zs)
+        return _safe_quotient(evaluator(f)(zs), zs)
     if kind == "starlike":
-        return _safe_quotient(zs * _eval_fprime(f)(zs), _eval_f(f)(zs))
+        return _safe_quotient(zs * evaluator(f, derivative=True)(zs), evaluator(f)(zs))
     # The remaining kinds need f'', which only the series representation
     # supplies; f' comes from the same series for consistency.
     fp = differentiate(_as_series(f))
@@ -191,9 +186,9 @@ def _class_quantity(kind: str, f, zs: np.ndarray, g) -> np.ndarray:
     if kind in ("close_to_convex", "quasi_convex"):
         if g is None:
             raise InvalidParameter(f"{kind} needs a reference function g")
-        gv = _eval_fprime(g)(zs)
+        gv = evaluator(g, derivative=True)(zs)
         if kind == "close_to_convex":
-            return _safe_quotient(_eval_fprime(f)(zs), gv)
+            return _safe_quotient(evaluator(f, derivative=True)(zs), gv)
         fpp = differentiate(fp)
         num = evaluate_many(fp, zs) + zs * evaluate_many(fpp, zs)
         return _safe_quotient(num, gv)
@@ -226,9 +221,7 @@ def class_predicate(
     kind = kind.replace("-", "_")
     if kind not in CLASS_KINDS:
         raise InvalidParameter(f"unknown class kind: {kind!r}")
-    theta = 2 * np.pi * np.arange(n_angles) / n_angles
-    zs = r * np.exp(1j * theta)
-    vals = _class_quantity(kind, f, zs, g)
+    vals = _class_quantity(kind, f, circle(r, n_angles), g)
     if not np.all(np.isfinite(vals)):
         raise EvaluationSingularity("class quantity non-finite on a sample")
     return float(np.min(vals.real)) > POSITIVITY_EPS
@@ -342,9 +335,8 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> Radiu
     principle: no zeros enclosed), which is monotone in r.  A capped
     result means no zero of f' was found up to RADIUS_CAP.
     """
-    fprime = _eval_fprime(f)
-    theta = 2 * np.pi * np.arange(n_angles) / n_angles
-    ring = np.exp(1j * theta)
+    fprime = evaluator(f, derivative=True)
+    ring = circle(1.0, n_angles)
 
     def no_zero_inside(r: float) -> bool:
         vals = fprime(r * ring)
@@ -407,8 +399,7 @@ def injectivity_probe(f, r: float, n_angles: int = 512) -> bool:
         raise InvalidParameter("radius must lie in (0, 1)")
     if not 8 <= n_angles <= 4096:
         raise InvalidParameter("n_angles must lie in [8, 4096]")
-    theta = 2 * np.pi * np.arange(n_angles) / n_angles
-    w = _as_evaluator(f)(r * np.exp(1j * theta))
+    w = evaluator(f)(circle(r, n_angles))
     if not np.all(np.isfinite(w)):
         raise EvaluationSingularity("boundary sample hit a pole")
     if _min_pairwise_distance(w) <= 1e-9:

@@ -10,6 +10,7 @@ immutable; every operation returns a new object.
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -111,8 +112,7 @@ class NormalizedSeries(TruncatedSeries):
 
 def constant(value: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Constant series of the requested order."""
-    if order < 0:
-        raise InvalidParameter("order must be nonnegative")
+    require_count(order, "order")
     out = np.zeros(order + 1, dtype=complex)
     out[0] = value
     return TruncatedSeries(out)
@@ -128,6 +128,24 @@ def as_normalized(f: TruncatedSeries) -> NormalizedSeries:
 def require_normalized(f: TruncatedSeries) -> None:
     """Raise InvalidParameter unless c_0 = 0 and c_1 = 1 exactly."""
     as_normalized(f)
+
+
+def require_real(x, what: str) -> float:
+    """x as a float; InvalidParameter unless it is a finite real number."""
+    if isinstance(x, numbers.Real) and math.isfinite(float(x)):
+        return float(x)
+    raise InvalidParameter(f"{what} must be a finite real number")
+
+
+def require_count(n, what: str, positive: bool = False, most: int | None = None) -> int:
+    """n as an int; InvalidParameter unless it is an integer, not a bool,
+    that is nonnegative (positive if asked) and, when given, <= most."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < int(positive):
+        sign = "positive" if positive else "nonnegative"
+        raise InvalidParameter(f"{what} must be a {sign} integer")
+    if most is not None and n > most:
+        raise InvalidParameter(f"{what} must be at most {most}")
+    return int(n)
 
 
 def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -356,8 +374,7 @@ def series_from_dict(data: dict) -> TruncatedSeries:
         rows = data["coeffs"]
     except (TypeError, KeyError) as exc:
         raise InvalidParameter("series record needs 'order' and 'coeffs'") from exc
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise InvalidParameter("order must be a nonnegative integer")
+    require_count(order, "order")
     if len(rows) != order + 1:
         raise InvalidParameter("coefficient list must have length order + 1")
     try:

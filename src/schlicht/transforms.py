@@ -4,21 +4,21 @@ normalized and the positive-real-part side.
 
 Each transform exists twice: as a small spec record (for dispatch
 through apply, which guarantees a normalized result) and, where it is
-an everyday map, as a plain function.
+an everyday map, as a plain function.  The command line reaches both
+through one table, cli.TRANSFORMS, which maps each transform kind to
+the flags it needs and the map from the input series to the output.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from .caratheodory import require_caratheodory
 from .errors import (
     InvalidParameter,
-    NotCaratheodoryNormalized,
     OmittedValueAttained,
 )
 from .probe import ProbeGrid
@@ -29,15 +29,11 @@ from .series import (
     divide,
     evaluate_many,
     mobius_recompose,
+    require_count,
     require_normalized,
+    require_real,
     sqrt_even_transform,
 )
-
-
-def _require_real(x, what: str) -> float:
-    if isinstance(x, numbers.Real) and math.isfinite(float(x)):
-        return float(x)
-    raise InvalidParameter(f"{what} must be a finite real number")
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class Rotation:
     theta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _require_real(self.theta, "theta"))
+        object.__setattr__(self, "theta", require_real(self.theta, "theta"))
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class Dilation:
     r: float
 
     def __post_init__(self) -> None:
-        r = _require_real(self.r, "r")
+        r = require_real(self.r, "r")
         if not 0 < r < 1:
             raise InvalidParameter("dilation factor must lie in (0, 1)")
         object.__setattr__(self, "r", r)
@@ -125,7 +121,7 @@ class Bernardi:
     gamma: float
 
     def __post_init__(self) -> None:
-        g = _require_real(self.gamma, "gamma")
+        g = require_real(self.gamma, "gamma")
         if g <= -1:
             raise InvalidParameter("bernardi needs gamma > -1")
         object.__setattr__(self, "gamma", g)
@@ -139,7 +135,7 @@ class LinearSum:
     other: TruncatedSeries
 
     def __post_init__(self) -> None:
-        t = _require_real(self.t, "t")
+        t = require_real(self.t, "t")
         if not 0 <= t <= 1:
             raise InvalidParameter("linear sum weight must lie in [0, 1]")
         object.__setattr__(self, "t", t)
@@ -218,19 +214,13 @@ def apply(spec: TransformSpec, f: TruncatedSeries) -> NormalizedSeries:
 
 def libera(f: TruncatedSeries) -> NormalizedSeries:
     """(2/z) integral_0^z f: coefficient map a_k -> 2 a_k/(k + 1)."""
-    require_normalized(f)
-    out = np.zeros(f.order + 1, dtype=complex)
-    k = np.arange(1, f.order + 1)
-    out[1:] = f.coeffs[1:] * (2.0 / (k + 1.0))
-    return NormalizedSeries(out)
+    return bernardi(f, 1.0)
 
 
 def bernardi(f: TruncatedSeries, gamma: float) -> NormalizedSeries:
     """((1+gamma)/z^gamma) integral_0^z t^{gamma-1} f(t) dt:
     coefficient map a_k -> (1+gamma) a_k/(k+gamma).  gamma = 1 is libera."""
-    gamma = _require_real(gamma, "gamma")
-    if gamma <= -1:
-        raise InvalidParameter("bernardi needs gamma > -1")
+    gamma = Bernardi(gamma).gamma
     require_normalized(f)
     out = np.zeros(f.order + 1, dtype=complex)
     k = np.arange(1, f.order + 1)
@@ -241,8 +231,7 @@ def bernardi(f: TruncatedSeries, gamma: float) -> NormalizedSeries:
 def libera_kernel(order: int) -> NormalizedSeries:
     """The series whose Hadamard product implements libera:
     z + sum_{k>=2} 2/(k+1) z^k."""
-    if order < 1:
-        raise InvalidParameter("kernel needs order >= 1")
+    require_count(order, "order", positive=True)
     out = np.zeros(order + 1, dtype=complex)
     k = np.arange(1, order + 1)
     out[1:] = 2.0 / (k + 1.0)
@@ -257,16 +246,11 @@ def convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def linear_sum(phi: TruncatedSeries, psi: TruncatedSeries, t: float) -> TruncatedSeries:
     """(1 - t) phi + t psi for t in [0, 1], truncated to the min order."""
-    t = _require_real(t, "t")
+    t = require_real(t, "t")
     if not 0 <= t <= 1:
         raise InvalidParameter("linear sum weight must lie in [0, 1]")
     n = min(phi.order, psi.order)
     return TruncatedSeries((1.0 - t) * phi.coeffs[: n + 1] + t * psi.coeffs[: n + 1])
-
-
-def _require_unit_constant(p: TruncatedSeries) -> None:
-    if abs(p.coeffs[0] - 1.0) > 1e-12:
-        raise NotCaratheodoryNormalized("iteration needs p(0) = 1")
 
 
 def iterate_alpha(p: TruncatedSeries, alpha: float, n: int) -> TruncatedSeries:
@@ -277,16 +261,15 @@ def iterate_alpha(p: TruncatedSeries, alpha: float, n: int) -> TruncatedSeries:
     iterate_alpha(iterate_alpha(p, a, n1), a, n2) equals
     iterate_alpha(p, a, n1 + n2) coefficient for coefficient.
     """
-    alpha = _require_real(alpha, "alpha")
+    alpha = require_real(alpha, "alpha")
     if alpha <= 0:
         raise InvalidParameter("alpha must be positive")
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise InvalidParameter("iteration count must be a nonnegative integer")
-    _require_unit_constant(p)
+    n = require_count(n, "iteration count")
+    require_caratheodory(p)
     k = np.arange(p.order + 1)
     stage = alpha / (alpha + k)
     out = np.array(p.coeffs)
-    for _ in range(int(n)):
+    for _ in range(n):
         out = out * stage
     return TruncatedSeries(out)
 
@@ -297,15 +280,14 @@ def iterate_sigma(p: TruncatedSeries, sigma: float, n: int) -> TruncatedSeries:
 
     Requires sigma > n - 1 so every stage exponent stays positive.
     """
-    sigma = _require_real(sigma, "sigma")
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise InvalidParameter("iteration count must be a nonnegative integer")
+    sigma = require_real(sigma, "sigma")
+    n = require_count(n, "iteration count")
     if sigma <= n - 1:
         raise InvalidParameter("need sigma > n - 1")
-    _require_unit_constant(p)
+    require_caratheodory(p)
     k = np.arange(p.order + 1)
     out = np.array(p.coeffs)
-    for m in range(1, int(n) + 1):
+    for m in range(1, n + 1):
         a = sigma - m + 1
         out = out * (a / (a + k))
     return TruncatedSeries(out)

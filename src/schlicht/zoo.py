@@ -14,27 +14,26 @@ from typing import Callable
 
 import numpy as np
 
-from .caratheodory import pommerenke_extremal
-from .errors import InvalidParameter, NotCaratheodoryNormalized
+from .caratheodory import pommerenke_extremal, require_caratheodory
+from .errors import InvalidParameter
 from .series import (
     DEFAULT_ORDER,
     NormalizedSeries,
     TruncatedSeries,
+    require_count,
     require_normalized,
 )
 
 
 def koebe(order: int = DEFAULT_ORDER) -> NormalizedSeries:
     """z/(1-z)^2 truncated: coefficients a_n = n.  Requires order >= 1."""
-    if order < 1:
-        raise InvalidParameter("koebe needs order >= 1")
+    require_count(order, "order", positive=True)
     return NormalizedSeries(np.arange(order + 1, dtype=float))
 
 
 def moebius(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """(1+z)/(1-z) truncated: c_0 = 1 and c_k = 2 for k >= 1."""
-    if order < 0:
-        raise InvalidParameter("order must be nonnegative")
+    require_count(order, "order")
     out = np.full(order + 1, 2.0, dtype=complex)
     out[0] = 1.0
     return TruncatedSeries(out)
@@ -42,8 +41,7 @@ def moebius(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 def identity(order: int = DEFAULT_ORDER) -> NormalizedSeries:
     """The series of z itself."""
-    if order < 1:
-        raise InvalidParameter("identity needs order >= 1")
+    require_count(order, "order", positive=True)
     out = np.zeros(order + 1, dtype=complex)
     out[1] = 1.0
     return NormalizedSeries(out)
@@ -55,8 +53,7 @@ def convex_extremal(order: int = DEFAULT_ORDER) -> NormalizedSeries:
     Also the identity element for the coefficientwise (Hadamard)
     product of normalized series.
     """
-    if order < 1:
-        raise InvalidParameter("convex_extremal needs order >= 1")
+    require_count(order, "order", positive=True)
     out = np.ones(order + 1, dtype=complex)
     out[0] = 0.0
     return NormalizedSeries(out)
@@ -69,8 +66,7 @@ def ratio_extremal(order: int = DEFAULT_ORDER) -> NormalizedSeries:
     vanishes at 1 - sqrt(2), so local univalence stops at radius
     sqrt(2) - 1.
     """
-    if order < 1:
-        raise InvalidParameter("ratio_extremal needs order >= 1")
+    require_count(order, "order", positive=True)
     out = np.full(order + 1, 2.0, dtype=complex)
     out[0] = 0.0
     out[1] = 1.0
@@ -82,8 +78,7 @@ def turning_extremal(order: int = DEFAULT_ORDER) -> NormalizedSeries:
 
     Extremal for the bounded-turning class (Re f' > 0).
     """
-    if order < 1:
-        raise InvalidParameter("turning_extremal needs order >= 1")
+    require_count(order, "order", positive=True)
     k = np.arange(order + 1, dtype=float)
     out = np.zeros(order + 1, dtype=complex)
     out[1:] = 2.0 / k[1:]
@@ -106,7 +101,9 @@ def _one_like(z):
     return np.asarray(z, dtype=complex) * 0 + 1.0
 
 
-_REGISTRY: dict[str, tuple] = {
+#: Stock functions by tag: (series builder, closed form, closed-form
+#: derivative).
+STOCK_FUNCTIONS: dict[str, tuple] = {
     "koebe": (
         koebe,
         lambda z: z / (1 - z) ** 2,
@@ -134,8 +131,8 @@ _REGISTRY: dict[str, tuple] = {
     ),
 }
 
-#: Tags accepted by named_function and the CLI.
-NAMED_TAGS = tuple(_REGISTRY) + ("pommerenke",)
+#: Tags accepted by named_function; the CLI offers STOCK_FUNCTIONS only.
+NAMED_TAGS = tuple(STOCK_FUNCTIONS) + ("pommerenke",)
 
 
 def named_function(
@@ -161,17 +158,10 @@ def named_function(
 
         return NamedFunction(tag, ser, cf, None)
     try:
-        builder, cf, dcf = _REGISTRY[tag]
+        builder, cf, dcf = STOCK_FUNCTIONS[tag]
     except KeyError:
         raise InvalidParameter(f"unknown function tag: {tag!r}") from None
     return NamedFunction(tag, builder(order), cf, dcf)
-
-
-def _caratheodory_tail(h: TruncatedSeries) -> np.ndarray:
-    """Validate h(0) = 1 and return its coefficient vector."""
-    if abs(h.coeffs[0] - 1.0) > 1e-12:
-        raise NotCaratheodoryNormalized("expected constant term 1")
-    return h.coeffs
 
 
 def from_ratio_positive(h: TruncatedSeries) -> NormalizedSeries:
@@ -179,7 +169,8 @@ def from_ratio_positive(h: TruncatedSeries) -> NormalizedSeries:
 
     Output order is order(h) + 1.
     """
-    c = _caratheodory_tail(h)
+    require_caratheodory(h)
+    c = h.coeffs
     out = np.zeros(len(c) + 1, dtype=complex)
     out[1] = 1.0
     out[2:] = c[1:]
@@ -188,7 +179,8 @@ def from_ratio_positive(h: TruncatedSeries) -> NormalizedSeries:
 
 def from_bounded_turning(h: TruncatedSeries) -> NormalizedSeries:
     """f with f' = h: a_k = c_{k-1}/k.  Output order is order(h) + 1."""
-    c = _caratheodory_tail(h)
+    require_caratheodory(h)
+    c = h.coeffs
     out = np.zeros(len(c) + 1, dtype=complex)
     out[1] = 1.0
     out[2:] = c[1:] / np.arange(2, len(c) + 1)
@@ -200,7 +192,8 @@ def from_starlike(h: TruncatedSeries) -> NormalizedSeries:
 
     Output order is order(h) + 1.
     """
-    c = _caratheodory_tail(h)
+    require_caratheodory(h)
+    c = h.coeffs
     n = len(c)  # output order
     out = np.zeros(n + 1, dtype=complex)
     out[1] = 1.0
@@ -216,7 +209,8 @@ def from_close_to_convex(h: TruncatedSeries, g: TruncatedSeries) -> NormalizedSe
 
     Output order is min(order(g), order(h) + 1).
     """
-    c = _caratheodory_tail(h)
+    require_caratheodory(h)
+    c = h.coeffs
     require_normalized(g)
     b = g.coeffs
     n = min(g.order, len(c))

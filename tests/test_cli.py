@@ -268,3 +268,37 @@ class TestReport:
         b = run_cli("report", "--seed", "5", "--samples", "20")
         assert a.stdout == b.stdout
         assert a.stdout.endswith("\n")
+
+
+class TestInputCaps:
+    """--order and --samples are capped before any work is done.  Only
+    cap + 1 is tried: a huge value would allocate or run for hours if
+    the cap were missing."""
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["build", "koebe"],
+            ["check", "--class", "starlike", "--function", "koebe", "--r", "0.5"],
+            ["radius", "convex", "--function", "koebe"],
+            ["functional", "bieberbach", "--function", "koebe"],
+            ["sample"],
+            ["report", "--samples", "1"],
+        ],
+        ids=lambda verb: verb[0],
+    )
+    def test_order_above_cap_exits_two(self, verb, capsys):
+        from schlicht.cli import MAX_ORDER, main
+
+        assert main(verb + ["--order", str(MAX_ORDER + 1)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--order must be at most {MAX_ORDER}" in out.err
+
+    def test_samples_above_cap_exits_two(self, capsys):
+        from schlicht.cli import MAX_SAMPLES, main
+
+        assert main(["report", "--samples", str(MAX_SAMPLES + 1)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--samples must be at most {MAX_SAMPLES}" in out.err

@@ -33,7 +33,13 @@ from schlicht.errors import (
     DivisionBySingularSeries,
     InvalidParameter,
 )
-from schlicht.series import constant, mobius_recompose, shift_down
+from schlicht.series import (
+    constant,
+    mobius_recompose,
+    require_count,
+    require_real,
+    shift_down,
+)
 
 from oracles import (
     fft_coefficients,
@@ -192,7 +198,11 @@ class TestCompose:
         inner[0] = 0.0
         got = compose(TruncatedSeries(outer), TruncatedSeries(inner)).coeffs
         want = naive_compose(outer, inner, order)
-        assert np.max(np.abs(got - want)) < 1e-12
+        # Rounding in coefficient k scales with M_k, the coefficient of the
+        # composition of the absolute-value series; unit-normal inputs give
+        # M_k near 1e4 at order 8.
+        majorant = naive_compose(np.abs(outer), np.abs(inner), order).real
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, majorant))
 
     def test_associativity(self, rng):
         order = 16
@@ -343,3 +353,23 @@ class TestMobiusRecompose:
         f = apply(Dilation(0.1), from_starlike(sample(3, 5, order=64)))
         back = mobius_recompose(mobius_recompose(f, sigma), -sigma)
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "3", None, -1])
+    def test_count_refuses_non_counts(self, bad):
+        with pytest.raises(InvalidParameter, match="nonnegative integer"):
+            require_count(bad, "n")
+
+    def test_count_bounds(self):
+        assert require_count(np.int64(3), "n") == 3
+        with pytest.raises(InvalidParameter, match="positive integer"):
+            require_count(0, "q", positive=True)
+        assert require_count(5, "n", most=5) == 5
+        with pytest.raises(InvalidParameter, match="at most 5"):
+            require_count(6, "n", most=5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1j, "0.5", None])
+    def test_real_refuses_non_finite_and_non_real(self, bad):
+        with pytest.raises(InvalidParameter, match="finite real number"):
+            require_real(bad, "t")

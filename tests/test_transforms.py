@@ -16,6 +16,7 @@ from schlicht import (
     bernardi,
     convolve,
     evaluate_many,
+    hankel,
     identity,
     iterate_alpha,
     iterate_sigma,
@@ -407,3 +408,17 @@ class TestPositivityPreservation:
             ]
             for g in outputs:
                 assert min_real_part(g, 0.95) > -1e-9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hankel(koebe(8), True, True),
+        lambda: iterate_alpha(moebius(8), 1.0, True),
+        lambda: iterate_sigma(moebius(8), 2.0, True),
+    ],
+    ids=["hankel", "iterate_alpha", "iterate_sigma"],
+)
+def test_bool_count_rejected(call):
+    with pytest.raises(InvalidParameter, match="integer"):
+        call()
