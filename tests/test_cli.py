@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from schlicht.cli import MAX_ORDER, MAX_SAMPLES, main
+
 CLI = [sys.executable, "-m", "schlicht"]
 
 
@@ -288,16 +290,12 @@ class TestInputCaps:
         ids=lambda verb: verb[0],
     )
     def test_order_above_cap_exits_two(self, verb, capsys):
-        from schlicht.cli import MAX_ORDER, main
-
         assert main(verb + ["--order", str(MAX_ORDER + 1)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert f"--order must be at most {MAX_ORDER}" in out.err
 
     def test_samples_above_cap_exits_two(self, capsys):
-        from schlicht.cli import MAX_SAMPLES, main
-
         assert main(["report", "--samples", str(MAX_SAMPLES + 1)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
