@@ -156,6 +156,13 @@ CASES = [
     ("report-seed1", ["report", "--seed", "1"], "", {}),
     ("report-seed2", ["report", "--seed", "2"], "", {}),
     ("report-small", ["report", "--seed", "5", "--samples", "20", "--order", "8"], "", {}),
+    # report: atom groups of unequal size, the smallest orders, blocks
+    # of samples at order 129, and a long sweep
+    ("report-samples13", ["report", "--seed", "4", "--samples", "13"], "", {}),
+    ("report-order2", ["report", "--seed", "6", "--order", "2"], "", {}),
+    ("report-order3", ["report", "--seed", "7", "--order", "3"], "", {}),
+    ("report-order129", ["report", "--seed", "8", "--samples", "1100", "--order", "129"], "", {}),
+    ("report-seed9-1000", ["report", "--seed", "9", "--samples", "1000"], "", {}),
     ("report-no-samples", ["report", "--samples", "0"], "", {}),
     ("report-order-too-low", ["report", "--order", "1"], "", {}),
 ]
