@@ -121,12 +121,22 @@ def measure_from_dict(data: dict) -> HerglotzMeasure:
 def herglotz_to_series(m: HerglotzMeasure, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series with c_0 = 1 and c_k = 2 sum_j mu_j exp(-i k t_j)."""
     require_count(order, "order")
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = 1.0
+    return TruncatedSeries(_herglotz_rows(m.angles[None], m.weights[None], order)[0])
+
+
+def _herglotz_rows(angles: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
+    """Row b holds the coefficients of herglotz_to_series for the measure
+    with atoms (angles[b, j], weights[b, j]); both arrays have shape
+    (batch, atoms).  Each row's kernel-times-weights product is its own
+    matmul slice of the per-measure shape, so every row has the bits of
+    the single-measure call."""
+    c = np.zeros((len(angles), order + 1), dtype=complex)
+    c[:, 0] = 1.0
     if order >= 1:
         k = np.arange(1, order + 1)
-        c[1:] = 2.0 * (np.exp(-1j * np.outer(k, m.angles)) @ m.weights)
-    return TruncatedSeries(c)
+        kernel = np.exp(-1j * (k[:, None] * angles[:, None, :]))
+        c[:, 1:] = 2.0 * (kernel @ weights[:, :, None])[:, :, 0]
+    return c
 
 
 def evaluate_measure(m: HerglotzMeasure, z):
@@ -311,15 +321,29 @@ def sample(rng_seed: int, n_atoms: int, order: int = DEFAULT_ORDER) -> Truncated
     return herglotz_to_series(sample_measure(rng_seed, n_atoms), order)
 
 
+def _sample_rows(rng_seeds, n_atoms: int, order: int) -> np.ndarray:
+    """Row b holds the coefficients of sample(rng_seeds[b], n_atoms, order)."""
+    measures = [sample_measure(int(s), n_atoms) for s in rng_seeds]
+    shape = (len(measures), n_atoms)
+    angles = np.array([m.angles for m in measures]).reshape(shape)
+    weights = np.array([m.weights for m in measures]).reshape(shape)
+    return _herglotz_rows(angles, weights, order)
+
+
 def check_coefficient_bound(h: TruncatedSeries) -> MarginReport:
     """Margins 2 - |c_k| for k >= 1 (sharp bound for the class)."""
     require_caratheodory(h)
     if h.order < 1:
         raise OrderTooLow("need at least one coefficient beyond the constant")
-    margins = tuple(
-        (k, float(2.0 - abs(h.coeffs[k]))) for k in range(1, h.order + 1)
-    )
-    return MarginReport("coefficient_bound", margins)
+    margins = _coefficient_margins(h.coeffs)
+    return MarginReport("coefficient_bound", tuple(enumerate(margins.tolist(), 1)))
+
+
+def _coefficient_margins(c: np.ndarray) -> np.ndarray:
+    """2 - |c_k| for k >= 1 along the last axis of c.  np.hypot gives the
+    bits of the scalar abs; np.abs of a complex array differs from it in
+    the last bit for about a third of inputs."""
+    return 2.0 - np.hypot(c.real, c.imag)[..., 1:]
 
 
 def check_pommerenke(h: TruncatedSeries) -> MarginReport:
@@ -328,10 +352,15 @@ def check_pommerenke(h: TruncatedSeries) -> MarginReport:
     require_caratheodory(h)
     if h.order < 2:
         raise OrderTooLow("need order >= 2")
-    c1 = complex(h.coeffs[1])
-    c2 = complex(h.coeffs[2])
-    margin = (2.0 - abs(c1) ** 2 / 2.0) - abs(c2 - c1**2 / 2.0)
-    return MarginReport("pommerenke", ((2, float(margin)),))
+    margin = _pommerenke_margin(complex(h.coeffs[1]), complex(h.coeffs[2]))
+    return MarginReport("pommerenke", ((2, margin),))
+
+
+def _pommerenke_margin(c1: complex, c2: complex) -> float:
+    # Python float power is libm pow, which differs from numpy's square
+    # in the last bit for about one input in a thousand, so report_suite
+    # calls this per sample rather than a numpy version of it.
+    return float((2.0 - abs(c1) ** 2 / 2.0) - abs(c2 - c1**2 / 2.0))
 
 
 def pommerenke_extremal(c1: complex, eps: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:

@@ -29,16 +29,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .caratheodory import (
-    VIOLATION_EPS,
-    check_coefficient_bound,
-    check_pommerenke,
-    measure_to_dict,
-    sample,
-    sample_measure,
-)
+from .caratheodory import measure_to_dict, sample, sample_measure
 from .errors import (
     InvalidMeasure,
     InvalidParameter,
@@ -78,20 +69,13 @@ from .transforms import (
     iterate_alpha,
     iterate_sigma,
 )
-from .zoo import (
-    STOCK_FUNCTIONS,
-    convex_extremal,
-    from_bounded_turning,
-    from_close_to_convex,
-    from_ratio_positive,
-    from_starlike,
-    named_function,
-)
+from .zoo import STOCK_FUNCTIONS, named_function, report_suite
 
-#: Largest --order and --samples accepted, so that a typo cannot ask
-#: for gigabytes of coefficients or hours of sampling.
+#: Largest --order, --samples and --angles accepted, so that a typo
+#: cannot ask for gigabytes of coefficients or hours of sampling.
 MAX_ORDER = 4096
 MAX_SAMPLES = 10**6
+MAX_ANGLES = 65536
 
 CHECK_KINDS = tuple(k.replace("_", "-") for k in CLASS_KINDS) + ("injectivity",)
 
@@ -304,58 +288,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
-    """Seeded sweep: every sample goes through both coefficient checks and
-    all four constructor growth checks.  Returns a JSON-ready summary."""
-    if n_samples < 1:
-        raise InvalidParameter(f"need at least one sample, got {n_samples}")
-    if order < 2:
-        raise OrderTooLow(f"report needs order >= 2, got {order}")
-    child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
-    names = (
-        "coefficient_bound",
-        "pommerenke",
-        "ratio_positive",
-        "bounded_turning",
-        "starlike",
-        "close_to_convex",
-    )
-    worst = {name: np.inf for name in names}
-    violations = {name: 0 for name in names}
-    g = convex_extremal(order + 1)
-
-    def record(name: str, margin: float) -> None:
-        worst[name] = min(worst[name], margin)
-        if margin < -VIOLATION_EPS:
-            violations[name] += 1
-
-    def growth_margin(f, cap) -> float:
-        # cap(k) is the sharp bound on |a_k| for the class at hand
-        kk = np.arange(2, f.order + 1, dtype=float)
-        return float(np.min(cap(kk) - np.abs(f.coeffs[2:])))
-
-    for i in range(n_samples):
-        h = sample(int(child_seeds[i]), i % 8 + 1, order=order)
-        record("coefficient_bound", check_coefficient_bound(h).worst)
-        record("pommerenke", check_pommerenke(h).worst)
-        record("ratio_positive", growth_margin(from_ratio_positive(h), lambda kk: 2.0))
-        record("bounded_turning", growth_margin(from_bounded_turning(h), lambda kk: 2.0 / kk))
-        record("starlike", growth_margin(from_starlike(h), lambda kk: kk))
-        record("close_to_convex", growth_margin(from_close_to_convex(h, g), lambda kk: kk))
-
-    checks = {
-        name: {"violations": violations[name], "worst_margin": float(worst[name])}
-        for name in names
-    }
-    return {
-        "checks": checks,
-        "order": order,
-        "samples": n_samples,
-        "seed": seed,
-        "total_violations": int(sum(violations.values())),
-    }
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     summary = report_suite(args.seed, args.samples, order=args.order)
     _emit(summary, args.output)
@@ -465,7 +397,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if hasattr(args, "order"):
             require_count(args.order, "--order", most=MAX_ORDER)
         if hasattr(args, "samples"):
-            require_count(args.samples, "--samples", most=MAX_SAMPLES)
+            require_count(args.samples, "--samples", positive=True, most=MAX_SAMPLES)
+        if getattr(args, "angles", None) is not None:
+            require_count(args.angles, "--angles", most=MAX_ANGLES)
         return args.handler(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -335,6 +335,8 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> Radiu
     principle: no zeros enclosed), which is monotone in r.  A capped
     result means no zero of f' was found up to RADIUS_CAP.
     """
+    if n_angles < 8:
+        raise InvalidParameter("need at least 8 angles")
     fprime = evaluator(f, derivative=True)
     ring = circle(1.0, n_angles)
 

@@ -14,8 +14,15 @@ from typing import Callable
 
 import numpy as np
 
-from .caratheodory import pommerenke_extremal, require_caratheodory
-from .errors import InvalidParameter
+from .caratheodory import (
+    VIOLATION_EPS,
+    _coefficient_margins,
+    _pommerenke_margin,
+    _sample_rows,
+    pommerenke_extremal,
+    require_caratheodory,
+)
+from .errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
 from .series import (
     DEFAULT_ORDER,
     NormalizedSeries,
@@ -164,27 +171,69 @@ def named_function(
     return NamedFunction(tag, builder(order), cf, dcf)
 
 
+# The constructors below work on rows: c has shape (batch, len) and row
+# b of the result is the constructor applied to row b of c.  The public
+# functions call them with one row; report_suite with many.
+
+
+def _normalized_rows(batch: int, n: int) -> np.ndarray:
+    out = np.zeros((batch, n + 1), dtype=complex)
+    out[:, 1] = 1.0
+    return out
+
+
+def _ratio_positive_rows(c: np.ndarray) -> np.ndarray:
+    out = _normalized_rows(len(c), c.shape[1])
+    out[:, 2:] = c[:, 1:]
+    return out
+
+
+def _bounded_turning_rows(c: np.ndarray) -> np.ndarray:
+    out = _normalized_rows(len(c), c.shape[1])
+    out[:, 2:] = c[:, 1:] / np.arange(2, c.shape[1] + 1)
+    return out
+
+
+def _starlike_rows(c: np.ndarray) -> np.ndarray:
+    n = c.shape[1]  # output order
+    out = _normalized_rows(len(c), n)
+    # c[k - j] for j = 1..k-1 is reverse[n - k : n - 1].  Each (1, k-1) @
+    # (k-1, 1) matmul slice is the BLAS dot product that np.dot makes of
+    # the same vectors, so the rows carry the per-series bits.  The
+    # reversed copy is made once: a copy per k would double the cost of
+    # a one-row call at order 256.
+    reverse = c[:, ::-1, None].copy()
+    row = out[:, None, :]
+    for k in range(2, n + 1):
+        out[:, k] = (row[:, :, 1:k] @ reverse[:, n - k : n - 1])[:, 0, 0] / (k - 1)
+    return out
+
+
+def _close_to_convex_rows(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b is the coefficient vector of g, shared by every row."""
+    m = c.shape[1]
+    n = min(len(b) - 1, m)
+    out = _normalized_rows(len(c), n)
+    jb = (np.arange(n + 1) * b[: n + 1])[None, None, :]
+    reverse = c[:, ::-1, None].copy()
+    for k in range(2, n + 1):
+        out[:, k] = b[k] + (jb[:, :, 1:k] @ reverse[:, m - k : m - 1])[:, 0, 0] / k
+    return out
+
+
 def from_ratio_positive(h: TruncatedSeries) -> NormalizedSeries:
     """f with f(z)/z = h(z): the coefficients of h shifted up one slot.
 
     Output order is order(h) + 1.
     """
     require_caratheodory(h)
-    c = h.coeffs
-    out = np.zeros(len(c) + 1, dtype=complex)
-    out[1] = 1.0
-    out[2:] = c[1:]
-    return NormalizedSeries(out)
+    return NormalizedSeries(_ratio_positive_rows(h.coeffs[None])[0])
 
 
 def from_bounded_turning(h: TruncatedSeries) -> NormalizedSeries:
     """f with f' = h: a_k = c_{k-1}/k.  Output order is order(h) + 1."""
     require_caratheodory(h)
-    c = h.coeffs
-    out = np.zeros(len(c) + 1, dtype=complex)
-    out[1] = 1.0
-    out[2:] = c[1:] / np.arange(2, len(c) + 1)
-    return NormalizedSeries(out)
+    return NormalizedSeries(_bounded_turning_rows(h.coeffs[None])[0])
 
 
 def from_starlike(h: TruncatedSeries) -> NormalizedSeries:
@@ -193,14 +242,7 @@ def from_starlike(h: TruncatedSeries) -> NormalizedSeries:
     Output order is order(h) + 1.
     """
     require_caratheodory(h)
-    c = h.coeffs
-    n = len(c)  # output order
-    out = np.zeros(n + 1, dtype=complex)
-    out[1] = 1.0
-    for k in range(2, n + 1):
-        j = np.arange(1, k)
-        out[k] = np.dot(out[j], c[k - j]) / (k - 1)
-    return NormalizedSeries(out)
+    return NormalizedSeries(_starlike_rows(h.coeffs[None])[0])
 
 
 def from_close_to_convex(h: TruncatedSeries, g: TruncatedSeries) -> NormalizedSeries:
@@ -210,16 +252,8 @@ def from_close_to_convex(h: TruncatedSeries, g: TruncatedSeries) -> NormalizedSe
     Output order is min(order(g), order(h) + 1).
     """
     require_caratheodory(h)
-    c = h.coeffs
     require_normalized(g)
-    b = g.coeffs
-    n = min(g.order, len(c))
-    out = np.zeros(n + 1, dtype=complex)
-    out[1] = 1.0
-    for k in range(2, n + 1):
-        j = np.arange(1, k)
-        out[k] = b[k] + np.dot(j * b[j], c[k - j]) / k
-    return NormalizedSeries(out)
+    return NormalizedSeries(_close_to_convex_rows(h.coeffs[None], g.coeffs)[0])
 
 
 def alexander_forward(f: TruncatedSeries) -> NormalizedSeries:
@@ -234,3 +268,76 @@ def alexander_inverse(f: TruncatedSeries) -> NormalizedSeries:
     out = np.array(f.coeffs)
     out[1:] = out[1:] / np.arange(1, f.order + 1)
     return NormalizedSeries(out)
+
+
+#: report_suite draws and checks its samples in blocks of about this many
+#: coefficients, so that its memory does not grow with the sample count.
+REPORT_BLOCK_COEFFS = 2**16
+
+REPORT_CHECKS = (
+    "coefficient_bound",
+    "pommerenke",
+    "ratio_positive",
+    "bounded_turning",
+    "starlike",
+    "close_to_convex",
+)
+
+
+def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
+    """Seeded sweep: every sample goes through both coefficient checks and
+    all four constructor growth checks.  Returns a JSON-ready summary.
+
+    Sample i is sample(s_i, i % 8 + 1, order), s_i the i-th word that
+    SeedSequence(seed) generates.  A check's worst margin is the minimum
+    over all samples; its violations count the samples whose own worst
+    margin lies below -VIOLATION_EPS.  Each block of samples runs every
+    constructor recurrence once for all its samples, and gives the bits
+    that the same checks give one series at a time.
+    """
+    n_samples = require_count(n_samples, "n_samples", positive=True)
+    order = require_count(order, "order")
+    if order < 2:
+        raise OrderTooLow(f"report needs order >= 2, got {order}")
+    child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
+    worst = dict.fromkeys(REPORT_CHECKS, np.inf)
+    violations = dict.fromkeys(REPORT_CHECKS, 0)
+    g = convex_extremal(order + 1).coeffs
+    kk = np.arange(2, order + 2, dtype=float)  # k of each a_k, k >= 2, of the constructed f
+
+    def growth(f, cap):
+        # cap is the sharp bound on |a_k| for the class at hand
+        return (cap - np.abs(f[:, 2:])).min(axis=1)
+
+    block = max(1, REPORT_BLOCK_COEFFS // (order + 1))
+    for start in range(0, n_samples, block):
+        seeds = child_seeds[start : start + block]
+        c = np.empty((len(seeds), order + 1), dtype=complex)
+        for atoms in range(1, 9):
+            group = slice((atoms - 1 - start) % 8, None, 8)
+            c[group] = _sample_rows(seeds[group], atoms, order)
+        if not np.isfinite(c).all() or np.any(np.abs(c[:, 0] - 1.0) > 1e-12):
+            raise NotCaratheodoryNormalized("expected finite coefficients and constant term 1")
+        margins = {
+            "coefficient_bound": _coefficient_margins(c).min(axis=1),
+            "pommerenke": np.array([_pommerenke_margin(*c12) for c12 in c[:, 1:3].tolist()]),
+            "ratio_positive": growth(_ratio_positive_rows(c), 2.0),
+            "bounded_turning": growth(_bounded_turning_rows(c), 2.0 / kk),
+            "starlike": growth(_starlike_rows(c), kk),
+            "close_to_convex": growth(_close_to_convex_rows(c, g), kk),
+        }
+        for name, m in margins.items():
+            worst[name] = min(worst[name], float(m.min()))
+            violations[name] += int(np.count_nonzero(m < -VIOLATION_EPS))
+
+    checks = {
+        name: {"violations": violations[name], "worst_margin": float(worst[name])}
+        for name in REPORT_CHECKS
+    }
+    return {
+        "checks": checks,
+        "order": order,
+        "samples": n_samples,
+        "seed": seed,
+        "total_violations": int(sum(violations.values())),
+    }

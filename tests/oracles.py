@@ -136,3 +136,79 @@ def random_normalized_coeffs(rng: np.random.Generator, order: int, scale: float 
     c[0] = 0.0
     c[1] = 1.0
     return c
+
+
+def report_per_sample(seed: int, n_samples: int, order: int = 32) -> dict:
+    """The report sweep one sample at a time with the per-series loops:
+    what schlicht.report_suite computed before it ran every recurrence
+    once per block of samples, kept to pin that its bytes did not change.
+    The measures come from the library's seeded sampler; series,
+    constructors and margins are computed here."""
+    from schlicht.caratheodory import VIOLATION_EPS, sample_measure
+
+    names = (
+        "coefficient_bound",
+        "pommerenke",
+        "ratio_positive",
+        "bounded_turning",
+        "starlike",
+        "close_to_convex",
+    )
+    worst = {name: np.inf for name in names}
+    violations = {name: 0 for name in names}
+    b = np.ones(order + 2, dtype=complex)  # convex_extremal(order + 1)
+    b[0] = 0.0
+
+    def record(name: str, margin: float) -> None:
+        worst[name] = min(worst[name], margin)
+        if margin < -VIOLATION_EPS:
+            violations[name] += 1
+
+    def growth_margin(f, cap) -> float:
+        kk = np.arange(2, len(f), dtype=float)
+        return float(np.min(cap(kk) - np.abs(f[2:])))
+
+    def normalized(n: int) -> np.ndarray:
+        out = np.zeros(n + 1, dtype=complex)
+        out[1] = 1.0
+        return out
+
+    child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
+    for i in range(n_samples):
+        m = sample_measure(int(child_seeds[i]), i % 8 + 1)
+        c = np.zeros(order + 1, dtype=complex)
+        c[0] = 1.0
+        k = np.arange(1, order + 1)
+        c[1:] = 2.0 * (np.exp(-1j * np.outer(k, m.angles)) @ m.weights)
+        n = len(c)
+
+        record("coefficient_bound", min(float(2.0 - abs(c[k])) for k in range(1, n)))
+        c1, c2 = complex(c[1]), complex(c[2])
+        record("pommerenke", float((2.0 - abs(c1) ** 2 / 2.0) - abs(c2 - c1**2 / 2.0)))
+        ratio = normalized(n)
+        ratio[2:] = c[1:]
+        record("ratio_positive", growth_margin(ratio, lambda kk: 2.0))
+        turning = normalized(n)
+        turning[2:] = c[1:] / np.arange(2, n + 1)
+        record("bounded_turning", growth_margin(turning, lambda kk: 2.0 / kk))
+        star = normalized(n)
+        for k in range(2, n + 1):
+            j = np.arange(1, k)
+            star[k] = np.dot(star[j], c[k - j]) / (k - 1)
+        record("starlike", growth_margin(star, lambda kk: kk))
+        ctc = normalized(n)
+        for k in range(2, n + 1):
+            j = np.arange(1, k)
+            ctc[k] = b[k] + np.dot(j * b[j], c[k - j]) / k
+        record("close_to_convex", growth_margin(ctc, lambda kk: kk))
+
+    return {
+        "checks": {
+            name: {"violations": violations[name], "worst_margin": float(worst[name])}
+            for name in names
+        },
+        "order": order,
+        "samples": n_samples,
+        "seed": seed,
+        "total_violations": int(sum(violations.values())),
+    }

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from schlicht.cli import MAX_ORDER, MAX_SAMPLES, main
+from schlicht.cli import MAX_ANGLES, MAX_ORDER, MAX_SAMPLES, main
 
 CLI = [sys.executable, "-m", "schlicht"]
 
@@ -273,9 +273,9 @@ class TestReport:
 
 
 class TestInputCaps:
-    """--order and --samples are capped before any work is done.  Only
-    cap + 1 is tried: a huge value would allocate or run for hours if
-    the cap were missing."""
+    """--order, --samples and --angles are capped before any work is
+    done.  Only cap + 1 is tried: a huge value would allocate or run for
+    hours if the cap were missing."""
 
     @pytest.mark.parametrize(
         "verb",
@@ -300,3 +300,28 @@ class TestInputCaps:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"--samples must be at most {MAX_SAMPLES}" in out.err
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["check", "--class", "starlike", "--function", "koebe", "--r", "0.5"],
+            ["radius", "convex", "--function", "koebe"],
+            ["radius", "local-univalence", "--function", "koebe"],
+        ],
+        ids=lambda verb: "-".join(verb[:2]),
+    )
+    def test_angles_above_cap_exits_two(self, verb, capsys):
+        assert main(verb + ["--angles", str(MAX_ANGLES + 1)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--angles must be at most {MAX_ANGLES}" in out.err
+
+
+class TestAngleCount:
+    @pytest.mark.parametrize("angles", [["--angles", "0"], ["--angles=-4"], ["--angles", "3"]])
+    def test_local_univalence_with_too_few_angles_exits_two(self, angles, capsys):
+        argv = ["radius", "local-univalence", "--function", "koebe", "--order", "8"]
+        assert main(argv + angles) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "Traceback" not in out.err

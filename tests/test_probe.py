@@ -172,6 +172,11 @@ class TestRadiusSolve:
 
 
 class TestLocalUnivalence:
+    @pytest.mark.parametrize("n_angles", [-4, 0, 3, 7])
+    def test_too_few_angles_rejected(self, n_angles):
+        with pytest.raises(InvalidParameter):
+            local_univalence_radius(koebe(8), n_angles=n_angles)
+
     def test_ratio_extremal_turning_point(self):
         res = local_univalence_radius(named_function("thmA", 64))
         assert res.hi - res.lo <= 1e-6

@@ -1,6 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import report_per_sample
+from schlicht import zoo
 from schlicht import (
     NormalizedSeries,
     TruncatedSeries,
@@ -23,9 +29,10 @@ from schlicht import (
     sample,
     turning_extremal,
 )
-from schlicht.errors import InvalidParameter, NotCaratheodoryNormalized
+from schlicht.caratheodory import _sample_rows
+from schlicht.errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
 from schlicht.series import constant, shift_down
-from schlicht.zoo import NAMED_TAGS
+from schlicht.zoo import NAMED_TAGS, report_suite
 
 
 class TestBuilders:
@@ -203,3 +210,58 @@ class TestConstructorSweeps:
                 assert f.coeffs[0] == 0.0 and f.coeffs[1] == 1.0
                 k = np.arange(2, f.order + 1, dtype=float)
                 assert np.min(cap(k) - np.abs(f.coeffs[2:])) > -1e-9
+
+
+class TestConstructorRows:
+    # The constructors run on (batch, order + 1) arrays; a public call is
+    # a batch of one row.  Every row of a batch must carry the bits of
+    # the one-row call, for any order and comparison function g.
+    @given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_one_row_equals_rows_of_a_batch(self, order, seed, atoms):
+        seeds = np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
+        c = _sample_rows(seeds, atoms, order)
+        convex, koebe_g = convex_extremal(order + 1), koebe(order)
+        batches = (
+            (from_ratio_positive, zoo._ratio_positive_rows(c)),
+            (from_bounded_turning, zoo._bounded_turning_rows(c)),
+            (from_starlike, zoo._starlike_rows(c)),
+            (lambda h: from_close_to_convex(h, convex),
+             zoo._close_to_convex_rows(c, convex.coeffs)),
+            (lambda h: from_close_to_convex(h, koebe_g),
+             zoo._close_to_convex_rows(c, koebe_g.coeffs)),
+        )
+        for i, s in enumerate(seeds):
+            h = sample(int(s), atoms, order)
+            assert np.array_equal(h.coeffs, c[i])
+            for construct, rows in batches:
+                assert np.array_equal(construct(h).coeffs, rows[i])
+
+
+class TestReportSuite:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bytes_equal_per_sample_loop(self, seed):
+        order = (2, 3, 8, 32, 33)[seed % 5]
+        got = json.dumps(report_suite(seed, 150 + seed, order), sort_keys=True)
+        assert got == json.dumps(report_per_sample(seed, 150 + seed, order), sort_keys=True)
+
+    @pytest.mark.parametrize("block", [1, 40, 100])
+    def test_bytes_do_not_depend_on_the_block(self, block, monkeypatch):
+        monkeypatch.setattr(zoo, "REPORT_BLOCK_COEFFS", block)
+        got = json.dumps(report_suite(11, 29, 8), sort_keys=True)
+        assert got == json.dumps(report_per_sample(11, 29, 8), sort_keys=True)
+
+    @pytest.mark.parametrize("n_samples", [0, -1, True, 2.5, "3"])
+    def test_bad_sample_count_rejected(self, n_samples):
+        with pytest.raises(InvalidParameter):
+            report_suite(0, n_samples, 8)
+
+    @pytest.mark.parametrize("order", [True, 2.0, -1])
+    def test_bad_order_rejected(self, order):
+        with pytest.raises(InvalidParameter):
+            report_suite(0, 4, order)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_order_below_two_is_too_low(self, order):
+        with pytest.raises(OrderTooLow):
+            report_suite(0, 4, order)
