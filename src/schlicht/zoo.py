@@ -274,15 +274,6 @@ def alexander_inverse(f: TruncatedSeries) -> NormalizedSeries:
 #: coefficients, so that its memory does not grow with the sample count.
 REPORT_BLOCK_COEFFS = 2**16
 
-REPORT_CHECKS = (
-    "coefficient_bound",
-    "pommerenke",
-    "ratio_positive",
-    "bounded_turning",
-    "starlike",
-    "close_to_convex",
-)
-
 
 def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
     """Seeded sweep: every sample goes through both coefficient checks and
@@ -300,8 +291,16 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
     if order < 2:
         raise OrderTooLow(f"report needs order >= 2, got {order}")
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
-    worst = dict.fromkeys(REPORT_CHECKS, np.inf)
-    violations = dict.fromkeys(REPORT_CHECKS, 0)
+    names = (
+        "coefficient_bound",
+        "pommerenke",
+        "ratio_positive",
+        "bounded_turning",
+        "starlike",
+        "close_to_convex",
+    )
+    worst = dict.fromkeys(names, np.inf)
+    violations = dict.fromkeys(names, 0)
     g = convex_extremal(order + 1).coeffs
     kk = np.arange(2, order + 2, dtype=float)  # k of each a_k, k >= 2, of the constructed f
 
@@ -318,7 +317,7 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
             c[group] = _sample_rows(seeds[group], atoms, order)
         if not np.isfinite(c).all() or np.any(np.abs(c[:, 0] - 1.0) > 1e-12):
             raise NotCaratheodoryNormalized("expected finite coefficients and constant term 1")
-        margins = {
+        sample_worst = {
             "coefficient_bound": _coefficient_margins(c).min(axis=1),
             "pommerenke": np.array([_pommerenke_margin(*c12) for c12 in c[:, 1:3].tolist()]),
             "ratio_positive": growth(_ratio_positive_rows(c), 2.0),
@@ -326,13 +325,13 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
             "starlike": growth(_starlike_rows(c), kk),
             "close_to_convex": growth(_close_to_convex_rows(c, g), kk),
         }
-        for name, m in margins.items():
+        for name, m in sample_worst.items():
             worst[name] = min(worst[name], float(m.min()))
             violations[name] += int(np.count_nonzero(m < -VIOLATION_EPS))
 
     checks = {
         name: {"violations": violations[name], "worst_margin": float(worst[name])}
-        for name in REPORT_CHECKS
+        for name in names
     }
     return {
         "checks": checks,

@@ -138,14 +138,54 @@ def random_normalized_coeffs(rng: np.random.Generator, order: int, scale: float 
     return c
 
 
-def report_per_sample(seed: int, n_samples: int, order: int = 32) -> dict:
+
+def herglotz_coeffs(angles, weights, order: int) -> np.ndarray:
+    """c_0 = 1 and c_k = 2 sum_j mu_j exp(-i k t_j), one measure at a time."""
+    c = np.zeros(order + 1, dtype=complex)
+    c[0] = 1.0
+    k = np.arange(1, order + 1)
+    c[1:] = 2.0 * (np.exp(-1j * np.outer(k, angles)) @ weights)
+    return c
+
+
+def _normalized(n: int) -> np.ndarray:
+    out = np.zeros(n + 1, dtype=complex)
+    out[1] = 1.0
+    return out
+
+
+def starlike_loop(c) -> np.ndarray:
+    """a with z f'/f = h for h = sum c_k z^k: (k-1) a_k = sum_{j<k} a_j c_{k-j},
+    one np.dot per k."""
+    n = len(c)
+    out = _normalized(n)
+    for k in range(2, n + 1):
+        j = np.arange(1, k)
+        out[k] = np.dot(out[j], c[k - j]) / (k - 1)
+    return out
+
+
+def close_to_convex_loop(c, b) -> np.ndarray:
+    """a with f'/g' = h against g = sum b_k z^k: k a_k = k b_k + sum_{j<k}
+    j b_j c_{k-j}, one np.dot per k."""
+    n = min(len(b) - 1, len(c))
+    out = _normalized(n)
+    for k in range(2, n + 1):
+        j = np.arange(1, k)
+        out[k] = b[k] + np.dot(j * b[j], c[k - j]) / k
+    return out
+
+
+def report_per_sample(seed: int, n_samples: int, order: int = 32, eps: float | None = None) -> dict:
     """The report sweep one sample at a time with the per-series loops:
     what schlicht.report_suite computed before it ran every recurrence
     once per block of samples, kept to pin that its bytes did not change.
     The measures come from the library's seeded sampler; series,
-    constructors and margins are computed here."""
+    constructors and margins are computed here.  A sample violates a
+    check when its worst margin lies below -eps (default VIOLATION_EPS)."""
     from schlicht.caratheodory import VIOLATION_EPS, sample_measure
 
+    eps = VIOLATION_EPS if eps is None else eps
     names = (
         "coefficient_bound",
         "pommerenke",
@@ -161,46 +201,29 @@ def report_per_sample(seed: int, n_samples: int, order: int = 32) -> dict:
 
     def record(name: str, margin: float) -> None:
         worst[name] = min(worst[name], margin)
-        if margin < -VIOLATION_EPS:
+        if margin < -eps:
             violations[name] += 1
 
     def growth_margin(f, cap) -> float:
         kk = np.arange(2, len(f), dtype=float)
         return float(np.min(cap(kk) - np.abs(f[2:])))
 
-    def normalized(n: int) -> np.ndarray:
-        out = np.zeros(n + 1, dtype=complex)
-        out[1] = 1.0
-        return out
-
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
     for i in range(n_samples):
         m = sample_measure(int(child_seeds[i]), i % 8 + 1)
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = 1.0
-        k = np.arange(1, order + 1)
-        c[1:] = 2.0 * (np.exp(-1j * np.outer(k, m.angles)) @ m.weights)
+        c = herglotz_coeffs(m.angles, m.weights, order)
         n = len(c)
-
         record("coefficient_bound", min(float(2.0 - abs(c[k])) for k in range(1, n)))
         c1, c2 = complex(c[1]), complex(c[2])
         record("pommerenke", float((2.0 - abs(c1) ** 2 / 2.0) - abs(c2 - c1**2 / 2.0)))
-        ratio = normalized(n)
+        ratio = _normalized(n)
         ratio[2:] = c[1:]
         record("ratio_positive", growth_margin(ratio, lambda kk: 2.0))
-        turning = normalized(n)
+        turning = _normalized(n)
         turning[2:] = c[1:] / np.arange(2, n + 1)
         record("bounded_turning", growth_margin(turning, lambda kk: 2.0 / kk))
-        star = normalized(n)
-        for k in range(2, n + 1):
-            j = np.arange(1, k)
-            star[k] = np.dot(star[j], c[k - j]) / (k - 1)
-        record("starlike", growth_margin(star, lambda kk: kk))
-        ctc = normalized(n)
-        for k in range(2, n + 1):
-            j = np.arange(1, k)
-            ctc[k] = b[k] + np.dot(j * b[j], c[k - j]) / k
-        record("close_to_convex", growth_margin(ctc, lambda kk: kk))
+        record("starlike", growth_margin(starlike_loop(c), lambda kk: kk))
+        record("close_to_convex", growth_margin(close_to_convex_loop(c, b), lambda kk: kk))
 
     return {
         "checks": {

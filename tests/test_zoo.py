@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import report_per_sample
+from oracles import close_to_convex_loop, herglotz_coeffs, report_per_sample, starlike_loop
 from schlicht import zoo
 from schlicht import (
     NormalizedSeries,
@@ -29,7 +29,7 @@ from schlicht import (
     sample,
     turning_extremal,
 )
-from schlicht.caratheodory import _sample_rows
+from schlicht.caratheodory import _sample_rows, sample_measure
 from schlicht.errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
 from schlicht.series import constant, shift_down
 from schlicht.zoo import NAMED_TAGS, report_suite
@@ -215,7 +215,8 @@ class TestConstructorSweeps:
 class TestConstructorRows:
     # The constructors run on (batch, order + 1) arrays; a public call is
     # a batch of one row.  Every row of a batch must carry the bits of
-    # the one-row call, for any order and comparison function g.
+    # the one-row call and of the per-series loops they replaced, for any
+    # order and comparison function g.
     @given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_one_row_equals_rows_of_a_batch(self, order, seed, atoms):
@@ -223,19 +224,23 @@ class TestConstructorRows:
         c = _sample_rows(seeds, atoms, order)
         convex, koebe_g = convex_extremal(order + 1), koebe(order)
         batches = (
-            (from_ratio_positive, zoo._ratio_positive_rows(c)),
-            (from_bounded_turning, zoo._bounded_turning_rows(c)),
-            (from_starlike, zoo._starlike_rows(c)),
+            (from_starlike, starlike_loop, zoo._starlike_rows(c)),
             (lambda h: from_close_to_convex(h, convex),
+             lambda c: close_to_convex_loop(c, convex.coeffs),
              zoo._close_to_convex_rows(c, convex.coeffs)),
             (lambda h: from_close_to_convex(h, koebe_g),
+             lambda c: close_to_convex_loop(c, koebe_g.coeffs),
              zoo._close_to_convex_rows(c, koebe_g.coeffs)),
         )
         for i, s in enumerate(seeds):
+            m = sample_measure(int(s), atoms)
             h = sample(int(s), atoms, order)
+            assert np.array_equal(h.coeffs, herglotz_coeffs(m.angles, m.weights, order))
             assert np.array_equal(h.coeffs, c[i])
-            for construct, rows in batches:
-                assert np.array_equal(construct(h).coeffs, rows[i])
+            for construct, loop, rows in batches:
+                want = loop(h.coeffs)
+                assert np.array_equal(construct(h).coeffs, want)
+                assert np.array_equal(rows[i], want)
 
 
 class TestReportSuite:
@@ -245,11 +250,16 @@ class TestReportSuite:
         got = json.dumps(report_suite(seed, 150 + seed, order), sort_keys=True)
         assert got == json.dumps(report_per_sample(seed, 150 + seed, order), sort_keys=True)
 
-    @pytest.mark.parametrize("block", [1, 40, 100])
-    def test_bytes_do_not_depend_on_the_block(self, block, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 40, 100, 2**16])
+    def test_every_sample_counted_once_whatever_the_block(self, block, monkeypatch):
+        # With eps = -0.5 a sample violates a check when its worst margin
+        # is below 0.5, so each count depends on every single sample.
         monkeypatch.setattr(zoo, "REPORT_BLOCK_COEFFS", block)
-        got = json.dumps(report_suite(11, 29, 8), sort_keys=True)
-        assert got == json.dumps(report_per_sample(11, 29, 8), sort_keys=True)
+        monkeypatch.setattr(zoo, "VIOLATION_EPS", -0.5)
+        got = report_suite(11, 29, 8)
+        assert 0 < got["total_violations"] < 6 * 29
+        want = report_per_sample(11, 29, 8, eps=-0.5)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     @pytest.mark.parametrize("n_samples", [0, -1, True, 2.5, "3"])
     def test_bad_sample_count_rejected(self, n_samples):
