@@ -197,11 +197,11 @@ def _bounded_turning_rows(c: np.ndarray) -> np.ndarray:
 def _starlike_rows(c: np.ndarray) -> np.ndarray:
     n = c.shape[1]  # output order
     out = _normalized_rows(len(c), n)
-    # c[k - j] for j = 1..k-1 is reverse[n - k : n - 1].  Each (1, k-1) @
-    # (k-1, 1) matmul slice is the BLAS dot product that np.dot makes of
-    # the same vectors, so the rows carry the per-series bits.  The
-    # reversed copy is made once: a copy per k would double the cost of
-    # a one-row call at order 256.
+    # c[k - j] for j = 1..k-1 is reverse[n - k : n - 1], a view into one
+    # reversed copy per call (a copy per k costs a one-row call at order
+    # 256 about 20%).  Each (1, k-1) @ (k-1, 1) matmul slice is the BLAS
+    # dot product that np.dot makes of the same vectors, so every row
+    # carries the per-series bits.
     reverse = c[:, ::-1, None].copy()
     row = out[:, None, :]
     for k in range(2, n + 1):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import close_to_convex_loop, herglotz_coeffs, report_per_sample, starlike_loop
-from schlicht import zoo
 from schlicht import (
     NormalizedSeries,
     TruncatedSeries,
@@ -28,6 +27,7 @@ from schlicht import (
     ratio_extremal,
     sample,
     turning_extremal,
+    zoo,
 )
 from schlicht.caratheodory import _sample_rows, sample_measure
 from schlicht.errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
@@ -226,10 +226,10 @@ class TestConstructorRows:
         batches = (
             (from_starlike, starlike_loop, zoo._starlike_rows(c)),
             (lambda h: from_close_to_convex(h, convex),
-             lambda c: close_to_convex_loop(c, convex.coeffs),
+             lambda x: close_to_convex_loop(x, convex.coeffs),
              zoo._close_to_convex_rows(c, convex.coeffs)),
             (lambda h: from_close_to_convex(h, koebe_g),
-             lambda c: close_to_convex_loop(c, koebe_g.coeffs),
+             lambda x: close_to_convex_loop(x, koebe_g.coeffs),
              zoo._close_to_convex_rows(c, koebe_g.coeffs)),
         )
         for i, s in enumerate(seeds):
