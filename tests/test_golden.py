@@ -6,7 +6,8 @@ PIPE(argv, ...), the stdout of earlier invocations piped in turn; files
 maps a file name to such a pipe and is written to a temporary directory
 that argv reaches as "{tmp}".  A file that an invocation writes (the
 check --boundary CSV) is compared byte for byte too.  stderr is not
-pinned.
+pinned.  COLUMNS is pinned to 80, so --help wraps the same way in any
+terminal.
 
 The expected results live in tests/golden/expected.json.  Regenerate
 them with
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -60,6 +62,10 @@ CASES = [
     ("build-thmB", ["build", "thmB", "--order", "8"], "", {}),
     ("build-unknown-tag", ["build", "lemniscate"], "", {}),
     ("unknown-verb", ["frobnicate"], "", {}),
+    # help: the verb list and the two table-driven verbs
+    ("help", ["--help"], "", {}),
+    ("transform-help", ["transform", "--help"], "", {}),
+    ("functional-help", ["functional", "--help"], "", {}),
     # transform: every kind
     ("transform-rotate", ["transform", "rotate", "--theta", "0.7"], THMB16, {}),
     ("transform-dilate", ["transform", "dilate", "--r", "0.5"], KOEBE16, {}),
@@ -175,6 +181,7 @@ def invoke(argv: list, stdin: str = "") -> tuple[int, str]:
     """Exit code and stdout of schlicht.cli.main(argv), in this process."""
     out = io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
