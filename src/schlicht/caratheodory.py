@@ -306,7 +306,7 @@ def sample_measure(rng_seed: int, n_atoms: int) -> HerglotzMeasure:
     weights from the flat simplex via sorted-uniform spacings.  A single
     64-bit seed drives both draws (angles first, then weights)."""
     require_count(n_atoms, "n_atoms", positive=True)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(require_count(rng_seed, "seed"))
     angles = rng.uniform(0.0, 2 * np.pi, n_atoms)
     if n_atoms == 1:
         weights = np.ones(1)

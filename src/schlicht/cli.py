@@ -205,14 +205,38 @@ TRANSFORMS = {
 }
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
-    f = _read_series(args.input)
-    flags, transform = TRANSFORMS[args.kind]
+def _hankel_record(f: TruncatedSeries, q: int, n: int) -> dict:
+    value = hankel(f, q, n)
+    return {"n": n, "q": q, "value": [float(value.real), float(value.imag)]}
+
+
+#: Functional kind -> (flags it requires, map from the input series and
+#: those flags' values to the JSON result), in the shape of TRANSFORMS.
+FUNCTIONALS = {
+    "fekete": (("--alpha",), lambda f, alpha: fekete_szego(f, alpha).to_dict()),
+    "hankel": (("--q", "--n"), _hankel_record),
+    "bieberbach": ((), lambda f: bieberbach_check(f).to_dict()),
+    "covering": (
+        ("--xi",),
+        lambda f, xi: covering_check(f, _parse_complex(xi, "--xi")).to_dict(),
+    ),
+}
+
+
+def _run_table(verb: str, table: dict, args: argparse.Namespace, f: TruncatedSeries):
+    """Call the map of table[args.kind] on f and the values of its
+    flags, after checking that each flag was given."""
+    flags, run = table[args.kind]
     values = [getattr(args, flag[2:]) for flag in flags]
     for flag, value in zip(flags, values):
         if value is None:
-            raise InvalidParameter(f"transform {args.kind!r} requires {flag}")
-    _emit(series_to_dict(transform(f, *values)), args.output)
+            raise InvalidParameter(f"{verb} {args.kind!r} requires {flag}")
+    return run(f, *values)
+
+
+def cmd_transform(args: argparse.Namespace) -> int:
+    f = _read_series(args.input)
+    _emit(series_to_dict(_run_table("transform", TRANSFORMS, args, f)), args.output)
     return 0
 
 
@@ -248,33 +272,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
 
 def cmd_functional(args: argparse.Namespace) -> int:
     f = _resolve_input(args)
-    kind = args.kind
-    if kind == "fekete":
-        if args.alpha is None:
-            raise InvalidParameter("functional fekete requires --alpha")
-        report = fekete_szego(f, args.alpha)
-        _emit(report.to_dict(), args.output)
-    elif kind == "hankel":
-        value = hankel(f, args.q, args.n)
-        _emit(
-            {
-                "n": args.n,
-                "q": args.q,
-                "value": [float(value.real), float(value.imag)],
-            },
-            args.output,
-        )
-    elif kind == "bieberbach":
-        report = bieberbach_check(f)
-        _emit(report.to_dict(), args.output)
-    elif kind == "covering":
-        if args.xi is None:
-            raise InvalidParameter("functional covering requires --xi")
-        xi = _parse_complex(args.xi, "--xi")
-        report = covering_check(f, xi)
-        _emit(report.to_dict(), args.output)
-    else:  # pragma: no cover - argparse choices guard this
-        raise InvalidParameter(f"unknown functional {kind!r}")
+    _emit(_run_table("functional", FUNCTIONALS, args, f), args.output)
     return 0
 
 
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_radius)
 
     p = sub.add_parser("functional", help="coefficient functional vs sharp bound")
-    p.add_argument("kind", choices=("fekete", "hankel", "bieberbach", "covering"))
+    p.add_argument("kind", choices=FUNCTIONALS)
     p.add_argument("--alpha", type=float, help="weight in [0, 1] for fekete")
     p.add_argument("--q", type=int, default=2, help="hankel block size")
     p.add_argument("--n", type=int, default=1, help="hankel starting index")

@@ -71,23 +71,12 @@ def odd_c5(f: TruncatedSeries) -> complex:
     return (a3 - a2**2 / 4.0) / 2.0
 
 
-def _det_cofactor(m: np.ndarray) -> complex:
-    size = m.shape[0]
-    if size == 1:
-        return complex(m[0, 0])
-    total = 0.0 + 0.0j
-    for j in range(size):
-        minor = np.delete(m[1:], j, axis=1)
-        total += (-1) ** j * complex(m[0, j]) * _det_cofactor(minor)
-    return total
-
-
 def hankel(f: TruncatedSeries, q: int, n: int) -> complex:
     """Hankel determinant H_q(n): the q x q determinant with (i, j)
     entry a_{n+i+j} (0-indexed), for n >= 1.
 
-    Needs order >= n + 2(q - 1).  Exact cofactor expansion for q <= 4,
-    LU factorization beyond.
+    Needs order >= n + 2(q - 1).  For q <= 3, expansion along the first
+    row, summed from 0j in cofactor order; LU factorization beyond.
     """
     require_normalized(f)
     q = require_count(q, "q", positive=True)
@@ -96,10 +85,16 @@ def hankel(f: TruncatedSeries, q: int, n: int) -> complex:
     if f.order < need:
         raise OrderTooLow(f"need order >= {need}")
     idx = n + np.add.outer(np.arange(q), np.arange(q))
-    matrix = f.coeffs[idx]
-    if q <= 4:
-        return _det_cofactor(matrix)
-    return complex(np.linalg.det(matrix))
+    if q >= 4:
+        return complex(np.linalg.det(f.coeffs[idx]))
+    m = f.coeffs[idx].tolist()
+    if q == 1:
+        return m[0][0]
+    if q == 2:
+        (a, b), (d, e) = m
+        return 0j + a * e - b * d
+    (a, b, c), (d, e, g), (h, i, j) = m
+    return 0j + a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
 
 
 def bieberbach_check(f: TruncatedSeries) -> FunctionalReport:

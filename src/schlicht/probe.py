@@ -6,9 +6,10 @@ refute a property but never certify it.  Thresholds are strict: a
 quantity counts as positive only when it clears POSITIVITY_EPS, and a
 radius bracket is reported with the predicate trace that produced it.
 
-Every probe samples the same equispaced circle, built by circle, and
-evaluates F or F' through the same factory, evaluator, which prefers a
-carried closed form over the truncated series.
+Every probe samples the same equispaced circle, built by circle, which
+refuses a radius outside (0, 1) and fewer than 8 angles, and evaluates
+F or F' through the same factory, evaluator, which prefers a carried
+closed form over the truncated series.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     EvaluationSingularity,
     InvalidParameter,
 )
-from .series import NormalizedSeries, TruncatedSeries, differentiate, evaluate_many
+from .series import NormalizedSeries, TruncatedSeries, differentiate, evaluate_many, require_real
 
 #: Strictness for "positive real part" style predicates.
 POSITIVITY_EPS = 1e-9
@@ -39,12 +40,16 @@ MAX_BISECTIONS = 64
 
 
 def circle_angles(n_angles: int) -> np.ndarray:
-    """The angles 2 pi k/n_angles, k = 0, ..., n_angles - 1."""
+    """The angles 2 pi k/n_angles, k = 0, ..., n_angles - 1, n_angles >= 8."""
+    if n_angles < 8:
+        raise InvalidParameter("need at least 8 angles")
     return 2 * np.pi * np.arange(n_angles) / n_angles
 
 
 def circle(r: float, n_angles: int) -> np.ndarray:
-    """The points r e^{i theta} on |z| = r at the circle_angles."""
+    """The points r e^{i theta} on |z| = r, r in (0, 1), at the circle_angles."""
+    if not 0 < r < 1:
+        raise InvalidParameter("radius must lie in (0, 1)")
     return r * np.exp(1j * circle_angles(n_angles))
 
 
@@ -74,7 +79,8 @@ class ProbeGrid:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """Certified bracket [lo, hi] for a radius problem.
+    """Bracket [lo, hi] for a radius problem, from a sampled predicate:
+    evidence, not proof.
 
     The predicate held at lo and failed at hi, except when capped is
     set: then the predicate held all the way to RADIUS_CAP.  The trace
@@ -92,17 +98,14 @@ class RadiusResult:
         if not (0.0 <= self.lo <= self.hi < 1.0):
             raise InvalidParameter("radius bracket must satisfy 0 <= lo <= hi < 1")
 
-    def to_dict(self, include_trace: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "lo": self.lo,
             "hi": self.hi,
             "iterations": self.iterations,
             "predicate": self.predicate_name,
             "capped": self.capped,
         }
-        if include_trace:
-            out["trace"] = [[r, bool(ok)] for r, ok in self.trace]
-        return out
 
 
 def _as_series(f) -> TruncatedSeries:
@@ -146,10 +149,6 @@ def min_real_part(F, r: float, n_angles: int = 256) -> float:
     Raises EvaluationSingularity when a sample lands on a pole (the
     value comes back non-finite).
     """
-    if not 0 < r < 1:
-        raise InvalidParameter("radius must lie in (0, 1)")
-    if n_angles < 8:
-        raise InvalidParameter("need at least 8 angles")
     vals = evaluator(F)(circle(r, n_angles))
     if not np.all(np.isfinite(vals)):
         raise EvaluationSingularity("sample hit a pole of the evaluator")
@@ -214,14 +213,11 @@ def class_predicate(
     Positive on a finite grid refutes nothing about the gaps between
     samples; treat a True as evidence, not proof.
     """
-    if not 0 < r < 1:
-        raise InvalidParameter("radius must lie in (0, 1)")
-    if n_angles < 8:
-        raise InvalidParameter("need at least 8 angles")
+    zs = circle(r, n_angles)
     kind = kind.replace("-", "_")
     if kind not in CLASS_KINDS:
         raise InvalidParameter(f"unknown class kind: {kind!r}")
-    vals = _class_quantity(kind, f, circle(r, n_angles), g)
+    vals = _class_quantity(kind, f, zs, g)
     if not np.all(np.isfinite(vals)):
         raise EvaluationSingularity("class quantity non-finite on a sample")
     return float(np.min(vals.real)) > POSITIVITY_EPS
@@ -256,7 +252,7 @@ def radius_solve(
     the solver honest when truncation artifacts re-validate a predicate
     near |z| = 1, and the trace records every evaluation either way.
     """
-    if tol <= 0:
+    if require_real(tol, "tol") <= 0:
         raise InvalidParameter("tolerance must be positive")
     trace: list[tuple[float, bool]] = []
 
@@ -335,10 +331,8 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> Radiu
     principle: no zeros enclosed), which is monotone in r.  A capped
     result means no zero of f' was found up to RADIUS_CAP.
     """
-    if n_angles < 8:
-        raise InvalidParameter("need at least 8 angles")
+    ring = np.exp(1j * circle_angles(n_angles))
     fprime = evaluator(f, derivative=True)
-    ring = circle(1.0, n_angles)
 
     def no_zero_inside(r: float) -> bool:
         vals = fprime(r * ring)
@@ -397,9 +391,7 @@ def injectivity_probe(f, r: float, n_angles: int = 512) -> bool:
     refutation device: True only means no self-contact was detected at
     this resolution.
     """
-    if not 0 < r < 1:
-        raise InvalidParameter("radius must lie in (0, 1)")
-    if not 8 <= n_angles <= 4096:
+    if n_angles > 4096:
         raise InvalidParameter("n_angles must lie in [8, 4096]")
     w = evaluator(f)(circle(r, n_angles))
     if not np.all(np.isfinite(w)):

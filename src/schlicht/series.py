@@ -118,16 +118,10 @@ def constant(value: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def as_normalized(f: TruncatedSeries) -> NormalizedSeries:
-    """View f as a normalized series, validating the normalization."""
-    if isinstance(f, NormalizedSeries):
-        return f
-    return NormalizedSeries(f.coeffs)
-
-
 def require_normalized(f: TruncatedSeries) -> None:
     """Raise InvalidParameter unless c_0 = 0 and c_1 = 1 exactly."""
-    as_normalized(f)
+    if not isinstance(f, NormalizedSeries):
+        NormalizedSeries(f.coeffs)
 
 
 def require_real(x, what: str) -> float:
@@ -266,11 +260,6 @@ def principal_log(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def shift_up(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by z; output order is order + 1."""
-    return TruncatedSeries(np.concatenate([[0.0 + 0.0j], f.coeffs]))
-
-
 def shift_down(f: TruncatedSeries) -> TruncatedSeries:
     """Divide by z.  Requires c_0 = 0 exactly; output order is order - 1."""
     if f.coeffs[0] != 0 or f.order < 1:
@@ -344,10 +333,7 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
 
 def evaluate(f: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the truncating polynomial at a point."""
-    acc = 0.0 + 0.0j
-    for c in f.coeffs[::-1]:
-        acc = acc * z + c
-    return complex(acc)
+    return complex(evaluate_many(f, z))
 
 
 def evaluate_many(f: TruncatedSeries, zs: np.ndarray) -> np.ndarray:

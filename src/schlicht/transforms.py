@@ -2,17 +2,17 @@
 univalent functions, plus the averaging operators on both the
 normalized and the positive-real-part side.
 
-Each transform exists twice: as a small spec record (for dispatch
-through apply, which guarantees a normalized result) and, where it is
-an everyday map, as a plain function.  The command line reaches both
-through one table, cli.TRANSFORMS, which maps each transform kind to
-the flags it needs and the map from the input series to the output.
+Each transform is a small spec record, and one table, _MAPS, maps each
+spec type to the map that apply runs on it; apply guarantees a
+normalized result.  The everyday maps are plain functions too.  The
+command line reaches them through cli.TRANSFORMS, which maps each
+transform kind to the flags it needs and the map from the input series
+to the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameter,
     OmittedValueAttained,
 )
-from .probe import ProbeGrid
+from .probe import _winding_number, circle
 from .series import (
     NormalizedSeries,
     TruncatedSeries,
@@ -142,20 +142,6 @@ class LinearSum:
         require_normalized(self.other)
 
 
-TransformSpec = Union[
-    Conjugation,
-    Rotation,
-    Dilation,
-    DiskAutomorphism,
-    OmittedValue,
-    SquareRoot,
-    RangeCompose,
-    Libera,
-    Bernardi,
-    LinearSum,
-]
-
-
 def _finish_normalized(coeffs: np.ndarray) -> NormalizedSeries:
     """Validate near-normalization (1e-10) and snap c_0, c_1 exactly."""
     arr = np.array(coeffs)
@@ -166,50 +152,60 @@ def _finish_normalized(coeffs: np.ndarray) -> NormalizedSeries:
     return NormalizedSeries(arr)
 
 
-def apply(spec: TransformSpec, f: TruncatedSeries) -> NormalizedSeries:
-    """Apply a transform spec to a normalized series.
+def _automorphism(spec: DiskAutomorphism, f: TruncatedSeries) -> NormalizedSeries:
+    if spec.sigma == 0:
+        return NormalizedSeries(f.coeffs)
+    moved = mobius_recompose(f, spec.sigma)
+    arr = np.array(moved.coeffs)
+    arr[0] = 0.0  # subtract f(sigma)
+    d = arr[1]  # (1 - |sigma|^2) f'(sigma)
+    if abs(d) <= 1e-12:
+        raise InvalidParameter("derivative vanishes at the automorphism center")
+    return _finish_normalized(arr / d)
+
+
+def _omitted_value(spec: OmittedValue, f: TruncatedSeries) -> NormalizedSeries:
+    """Refuse xi when f - xi has a zero inside |z| = r (argument
+    principle), r the largest radius up to 0.95 at which the truncation
+    tail |c_N| r^N is at most 1e-3: further out, the polynomial has
+    zeros that f does not."""
+    tail = abs(f.coeffs[-1])
+    r = 0.95 if tail == 0 else min(0.95, (1e-3 / tail) ** (1.0 / f.order))
+    vals = evaluate_many(f, circle(r, 256)) - spec.xi
+    if float(np.min(np.abs(vals))) <= 1e-9 or _winding_number(vals) != 0:
+        raise OmittedValueAttained("f attains the value xi; transform undefined")
+    return _finish_normalized(divide(spec.xi * f, spec.xi - f).coeffs)
+
+
+#: Spec type -> map from (spec, normalized input) to the output series.
+_MAPS = {
+    Conjugation: lambda spec, f: NormalizedSeries(np.conj(f.coeffs)),
+    Rotation: lambda spec, f: NormalizedSeries(
+        f.coeffs * np.exp(1j * spec.theta * (np.arange(f.order + 1) - 1))
+    ),
+    Dilation: lambda spec, f: NormalizedSeries(
+        f.coeffs * spec.r ** (np.arange(f.order + 1) - 1.0)
+    ),
+    DiskAutomorphism: _automorphism,
+    OmittedValue: _omitted_value,
+    SquareRoot: lambda spec, f: NormalizedSeries(sqrt_even_transform(f).coeffs[: f.order + 1]),
+    RangeCompose: lambda spec, f: _finish_normalized(compose(spec.phi, f).coeffs),
+    Libera: lambda spec, f: libera(f),
+    Bernardi: lambda spec, f: bernardi(f, spec.gamma),
+    LinearSum: lambda spec, f: _finish_normalized(linear_sum(f, spec.other, spec.t).coeffs),
+}
+
+
+def apply(spec, f: TruncatedSeries) -> NormalizedSeries:
+    """Apply a transform spec, an instance of one of the spec classes
+    above, to a normalized series.
 
     Output order equals input order for every kind.
     """
     require_normalized(f)
-    n = f.order
-    if isinstance(spec, Conjugation):
-        return NormalizedSeries(np.conj(f.coeffs))
-    if isinstance(spec, Rotation):
-        factors = np.exp(1j * spec.theta * (np.arange(n + 1) - 1))
-        return NormalizedSeries(f.coeffs * factors)
-    if isinstance(spec, Dilation):
-        factors = spec.r ** (np.arange(n + 1) - 1.0)
-        return NormalizedSeries(f.coeffs * factors)
-    if isinstance(spec, DiskAutomorphism):
-        if spec.sigma == 0:
-            return NormalizedSeries(f.coeffs)
-        moved = mobius_recompose(f, spec.sigma)
-        arr = np.array(moved.coeffs)
-        arr[0] = 0.0  # subtract f(sigma)
-        d = arr[1]  # (1 - |sigma|^2) f'(sigma)
-        if abs(d) <= 1e-12:
-            raise InvalidParameter("derivative vanishes at the automorphism center")
-        return _finish_normalized(arr / d)
-    if isinstance(spec, OmittedValue):
-        vals = evaluate_many(f, ProbeGrid.default().points())
-        if float(np.min(np.abs(vals - spec.xi))) <= 1e-9:
-            raise OmittedValueAttained(
-                "value is attained on the probe grid; transform undefined"
-            )
-        return _finish_normalized(divide(spec.xi * f, spec.xi - f).coeffs)
-    if isinstance(spec, SquareRoot):
-        g = sqrt_even_transform(f)
-        return NormalizedSeries(g.coeffs[: n + 1])
-    if isinstance(spec, RangeCompose):
-        return _finish_normalized(compose(spec.phi, f).coeffs)
-    if isinstance(spec, Libera):
-        return libera(f)
-    if isinstance(spec, Bernardi):
-        return bernardi(f, spec.gamma)
-    if isinstance(spec, LinearSum):
-        return _finish_normalized(linear_sum(f, spec.other, spec.t).coeffs)
-    raise InvalidParameter(f"unknown transform spec: {spec!r}")
+    if type(spec) not in _MAPS:
+        raise InvalidParameter(f"unknown transform spec: {spec!r}")
+    return _MAPS[type(spec)](spec, f)
 
 
 def libera(f: TruncatedSeries) -> NormalizedSeries:

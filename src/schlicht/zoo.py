@@ -290,6 +290,7 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
     order = require_count(order, "order")
     if order < 2:
         raise OrderTooLow(f"report needs order >= 2, got {order}")
+    seed = require_count(seed, "seed")
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
     names = (
         "coefficient_bound",

@@ -235,3 +235,16 @@ def report_per_sample(seed: int, n_samples: int, order: int = 32, eps: float | N
         "seed": seed,
         "total_violations": int(sum(violations.values())),
     }
+
+
+def det_cofactor(m: np.ndarray) -> complex:
+    """Determinant by recursive cofactor expansion along the first row,
+    summed in Python complex arithmetic."""
+    size = m.shape[0]
+    if size == 1:
+        return complex(m[0, 0])
+    total = 0.0 + 0.0j
+    for j in range(size):
+        minor = np.delete(m[1:], j, axis=1)
+        total += (-1) ** j * complex(m[0, j]) * det_cofactor(minor)
+    return total

@@ -257,6 +257,13 @@ class TestSampling:
         with pytest.raises(InvalidParameter):
             sample_measure(0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5])
+    def test_seed_validated(self, seed):
+        with pytest.raises(InvalidParameter):
+            sample_measure(seed, 2)
+        with pytest.raises(InvalidParameter):
+            sample(seed, 2, order=8)
+
 
 class TestBoundChecks:
     def test_moebius_margins_all_zero(self):

@@ -216,6 +216,14 @@ class TestRadius:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_two(self, tol, capsys):
+        argv = ["radius", "convex", "--function", "koebe", "--order", "16", "--tol", tol]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "tol must be a finite real number" in out.err
+
     def test_degenerate_probe_exits_one(self):
         doc = json.dumps(
             {"order": 2, "coeffs": [[0.0, 0.0], [1.0, 0.0], [5000.0, 0.0]]}
@@ -270,6 +278,17 @@ class TestReport:
         b = run_cli("report", "--seed", "5", "--samples", "20")
         assert a.stdout == b.stdout
         assert a.stdout.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "verb", [["report", "--samples", "2"], ["sample"], ["sample", "--measure"]],
+    ids=" ".join,
+)
+def test_negative_seed_exits_two(verb, capsys):
+    assert main(verb + ["--seed", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "seed must be a nonnegative integer" in out.err
 
 
 class TestInputCaps:

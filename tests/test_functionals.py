@@ -18,7 +18,7 @@ from schlicht import (
 from schlicht.errors import InvalidParameter, OrderTooLow
 from schlicht.series import TruncatedSeries
 
-from oracles import random_normalized_coeffs
+from oracles import det_cofactor, random_normalized_coeffs
 
 ODD_C5_CONSTANT = 0.5 + math.exp(-2.0 / 3.0)
 
@@ -112,6 +112,23 @@ class TestHankel:
         idx = 1 + np.add.outer(np.arange(5), np.arange(5))
         want = np.linalg.det(f.coeffs[idx])
         assert abs(hankel(f, 5, 1) - want) < 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_small_blocks_bit_equal_to_cofactor_expansion(self, rng, q):
+        # koebe and identity have zero imaginary parts, so the signs of
+        # zeros are compared too
+        fs = [TruncatedSeries(random_normalized_coeffs(rng, 2 * q + 2)) for _ in range(200)]
+        for f in fs + [koebe(2 * q + 2), identity(2 * q + 2)]:
+            for n in (1, 2, 3):
+                want = det_cofactor(f.coeffs[n + np.add.outer(np.arange(q), np.arange(q))])
+                assert np.array(hankel(f, q, n)).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_lu_blocks_agree_with_cofactor_expansion(self, rng, q):
+        for _ in range(50):
+            f = TruncatedSeries(random_normalized_coeffs(rng, 2 * q))
+            want = det_cofactor(f.coeffs[1 + np.add.outer(np.arange(q), np.arange(q))])
+            assert abs(hankel(f, q, 1) - want) <= 1e-12 * abs(want)
 
     def test_order_requirement(self):
         with pytest.raises(OrderTooLow):

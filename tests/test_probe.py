@@ -28,7 +28,7 @@ from schlicht.errors import (
     EvaluationSingularity,
     InvalidParameter,
 )
-from schlicht.probe import RADIUS_CAP
+from schlicht.probe import RADIUS_CAP, circle, circle_angles
 from schlicht.series import TruncatedSeries, constant
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
@@ -52,6 +52,20 @@ class TestProbeGrid:
     def test_angle_floor(self):
         with pytest.raises(InvalidParameter):
             ProbeGrid((0.5,), 4)
+
+
+class TestCircle:
+    @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, math.nan])
+    def test_radius_inside_the_disk(self, r):
+        with pytest.raises(InvalidParameter):
+            circle(r, 16)
+
+    @pytest.mark.parametrize("n_angles", [-4, 0, 7])
+    def test_at_least_eight_angles(self, n_angles):
+        with pytest.raises(InvalidParameter):
+            circle_angles(n_angles)
+        with pytest.raises(InvalidParameter):
+            injectivity_probe(koebe(8), 0.5, n_angles=n_angles)
 
 
 class TestMinRealPart:
@@ -169,6 +183,12 @@ class TestRadiusSolve:
     def test_result_validation(self):
         with pytest.raises(InvalidParameter):
             RadiusResult(lo=0.5, hi=0.4, iterations=0, predicate_name="bad")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, "1e-6"])
+    def test_tolerance_validated(self, tol):
+        # a nan or inf tolerance would stop bisection before its first step
+        with pytest.raises(InvalidParameter):
+            radius_solve(lambda r: r < 0.4, tol=tol)
 
 
 class TestLocalUnivalence:

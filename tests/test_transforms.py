@@ -173,6 +173,22 @@ class TestOmittedValue:
         with pytest.raises(OmittedValueAttained):
             apply(OmittedValue(xi), f)
 
+    # koebe takes 0.3 at z = 0.195..., off every sampled point
+    @pytest.mark.parametrize("f, xi", [(koebe(16), 0.3), (identity(8), 0.6)])
+    def test_value_attained_off_the_samples(self, f, xi):
+        with pytest.raises(OmittedValueAttained):
+            apply(OmittedValue(xi), f)
+
+    def test_truncation_zeros_near_the_rim_ignored(self):
+        # koebe omits -0.3, though its order-64 truncation takes it
+        # 12 times inside |z| = 0.9
+        got = apply(OmittedValue(-0.3), koebe(64))
+        assert abs(got.coeffs[2] - (2.0 - 1.0 / 0.3)) < 1e-12
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(InvalidParameter):
+            apply(0.5, koebe(8))
+
 
 class TestSquareRoot:
     def test_koebe_gives_odd_geometric(self):

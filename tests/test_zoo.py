@@ -266,6 +266,11 @@ class TestReportSuite:
         with pytest.raises(InvalidParameter):
             report_suite(0, n_samples, 8)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameter):
+            report_suite(seed, 4, 8)
+
     @pytest.mark.parametrize("order", [True, 2.0, -1])
     def test_bad_order_rejected(self, order):
         with pytest.raises(InvalidParameter):
