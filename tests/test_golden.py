@@ -141,6 +141,24 @@ CASES = [
     ("radius-quasi-convex", ["radius", "quasi-convex", "--function", "koebe",
                              "--order", "16", "--g", "{tmp}/g.json"], "", G_FILE),
     ("radius-no-predicate", ["radius", "--function", "koebe"], "", {}),
+    # check and radius with --order above --angles, series and closed form
+    ("radius-convex-order300-angles64", ["radius", "convex", "--function", "koebe",
+                                         "--order", "300", "--angles", "64"], "", {}),
+    ("check-starlike-order600-angles16", ["check", "--class", "starlike", "--function", "koebe",
+                                          "--order", "600", "--r", "0.9", "--angles", "16"], "", {}),
+    ("check-starlike-stdin-order600-angles16", ["check", "--class", "starlike", "--r", "0.9",
+                                                "--angles", "16"],
+     PIPE(["build", "koebe", "--order", "600"]), {}),
+    ("check-bounded-turning-stdin-angles8", ["check", "--class", "bounded-turning", "--r", "0.8",
+                                             "--angles", "8"], KOEBE16, {}),
+    ("radius-local-univalence-order200-angles64", ["radius", "local-univalence", "--angles", "64"],
+     PIPE(["build", "thmA", "--order", "200"]), {}),
+    ("radius-quasi-convex-order64-angles32", ["radius", "quasi-convex", "--function", "koebe",
+                                              "--order", "64", "--angles", "32",
+                                              "--g", "{tmp}/g.json"], "", G_FILE),
+    ("radius-close-to-convex-order64-angles32", ["radius", "close-to-convex", "--function", "koebe",
+                                                 "--order", "64", "--angles", "32",
+                                                 "--g", "{tmp}/g.json"], "", G_FILE),
     # functional: every kind
     ("functional-fekete", ["functional", "fekete", "--alpha", "0.25", "--function", "koebe",
                            "--order", "8"], "", {}),
