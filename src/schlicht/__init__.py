@@ -33,6 +33,7 @@ from .functionals import (
 from .probe import (
     ProbeGrid,
     RadiusResult,
+    circle_values,
     class_predicate,
     class_radius,
     injectivity_probe,

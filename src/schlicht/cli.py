@@ -266,7 +266,11 @@ def cmd_radius(args: argparse.Namespace) -> int:
         angles = args.angles if args.angles is not None else 256
         g = _read_series(args.g) if args.g is not None else None
         result = class_radius(predicate, f, g=g, tol=args.tol, n_angles=angles)
-    _emit(result.to_dict(), args.output)
+    out = result.to_dict()
+    if args.trace:
+        out["trace"] = result.trace
+        out["monotone"] = result.monotone
+    _emit(out, args.output)
     return 0
 
 
@@ -355,6 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--angles", type=int, default=None)
     p.add_argument("--g", help="comparison series JSON file for two-function classes")
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="add every (radius, holds) evaluation and a monotone flag",
+    )
     _add_function_source(p)
     _add_io(p)
     p.set_defaults(handler=cmd_radius)

@@ -6,10 +6,10 @@ refute a property but never certify it.  Thresholds are strict: a
 quantity counts as positive only when it clears POSITIVITY_EPS, and a
 radius bracket is reported with the predicate trace that produced it.
 
-Every probe samples the same equispaced circle, built by circle, which
-refuses a radius outside (0, 1) and fewer than 8 angles, and evaluates
-F or F' through the same factory, evaluator, which prefers a carried
-closed form over the truncated series.
+Every probe sees a function on the same equispaced circle |z| = r,
+r in (0, 1), at 8 or more angles, through one kernel, circle_values.
+It prefers a carried closed form over the truncated series; a series
+is summed on the circle by one inverse DFT of its scaled coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     EvaluationSingularity,
     InvalidParameter,
 )
-from .series import NormalizedSeries, TruncatedSeries, differentiate, evaluate_many, require_real
+from .series import NormalizedSeries, TruncatedSeries, require_real
 
 #: Strictness for "positive real part" style predicates.
 POSITIVITY_EPS = 1e-9
@@ -39,18 +39,69 @@ INNER_RADIUS = 1e-3
 MAX_BISECTIONS = 64
 
 
-def circle_angles(n_angles: int) -> np.ndarray:
-    """The angles 2 pi k/n_angles, k = 0, ..., n_angles - 1, n_angles >= 8."""
+def _require_angles(n_angles: int) -> None:
     if n_angles < 8:
         raise InvalidParameter("need at least 8 angles")
+
+
+def _require_radius(r: float) -> None:
+    if not 0 < r < 1:
+        raise InvalidParameter("radius must lie in (0, 1)")
+
+
+def circle_angles(n_angles: int) -> np.ndarray:
+    """The angles 2 pi k/n_angles, k = 0, ..., n_angles - 1, n_angles >= 8."""
+    _require_angles(n_angles)
     return 2 * np.pi * np.arange(n_angles) / n_angles
 
 
 def circle(r: float, n_angles: int) -> np.ndarray:
     """The points r e^{i theta} on |z| = r, r in (0, 1), at the circle_angles."""
-    if not 0 < r < 1:
-        raise InvalidParameter("radius must lie in (0, 1)")
+    _require_radius(r)
     return r * np.exp(1j * circle_angles(n_angles))
+
+
+#: Names of the closed forms a named function may carry, by derivative.
+_CLOSED_FORMS = ("closed_form", "closed_form_derivative")
+
+
+def circle_values(F, r: float, n_angles: int, derivative: int = 0) -> np.ndarray:
+    """Values of F, F' or F'' (derivative 0, 1 or 2) at circle(r, n_angles).
+
+    Precedence: the closed form (closed_form_derivative for F') that a
+    named function carries, then the series (F itself or F.series),
+    then, for F only, a plain callable, which is called point by point
+    if it does not take arrays.  Closed forms matter near |z| = 1, where
+    a truncation's tail swamps the value.
+
+    A series is summed by one inverse DFT: at theta_j = 2 pi j/n,
+    F^(d)(r e^{i theta_j}) = sum_k a_k r^k e^{2 pi i jk/n} with a_k =
+    (k+1)...(k+d) c_{k+d}, and the terms whose k agree mod n share a
+    phase, so the a_k r^k are folded mod n before the transform.
+    """
+    if derivative not in (0, 1, 2):
+        raise InvalidParameter("derivative must be 0, 1 or 2")
+    cf = getattr(F, _CLOSED_FORMS[derivative], None) if derivative < 2 else None
+    if cf is not None:
+        return np.asarray(cf(circle(r, n_angles)), dtype=complex)
+    ser = getattr(F, "series", F)
+    if isinstance(ser, TruncatedSeries):
+        _require_radius(r)
+        _require_angles(n_angles)
+        a = ser.coeffs
+        for _ in range(derivative):
+            a = np.arange(1, len(a)) * a[1:]
+        a = a * r ** np.arange(len(a))
+        if len(a) > n_angles:
+            a = np.pad(a, (0, -len(a) % n_angles)).reshape(-1, n_angles).sum(axis=0)
+        return np.fft.ifft(a, n_angles, norm="forward")
+    if callable(F) and derivative == 0:
+        zs = circle(r, n_angles)
+        try:
+            return np.asarray(F(zs), dtype=complex)
+        except (TypeError, ValueError):
+            return np.array([complex(F(z)) for z in zs])
+    raise InvalidParameter("expected a truncated series or named function")
 
 
 @dataclass(frozen=True)
@@ -98,6 +149,13 @@ class RadiusResult:
         if not (0.0 <= self.lo <= self.hi < 1.0):
             raise InvalidParameter("radius bracket must satisfy 0 <= lo <= hi < 1")
 
+    @property
+    def monotone(self) -> bool:
+        """False when the trace holds a pass at a radius above a fail."""
+        passes = [r for r, ok in self.trace if ok]
+        fails = [r for r, ok in self.trace if not ok]
+        return not (passes and fails and max(passes) > min(fails))
+
     def to_dict(self) -> dict:
         return {
             "lo": self.lo,
@@ -115,43 +173,15 @@ def _as_series(f) -> TruncatedSeries:
     return obj
 
 
-def evaluator(F, derivative: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Array evaluator for F, or for F' when derivative is set.
-
-    Precedence: the closed form (closed_form_derivative for F') that a
-    named function carries, then the series (F itself or F.series,
-    differentiated for F'), then, for F only, a plain callable, which is
-    called point by point if it does not take arrays.  Closed forms
-    matter near |z| = 1, where a truncation's tail swamps the value.
-    """
-    cf = getattr(F, "closed_form_derivative" if derivative else "closed_form", None)
-    if cf is not None:
-        return lambda zs: np.asarray(cf(zs), dtype=complex)
-    ser = getattr(F, "series", F)
-    if isinstance(ser, TruncatedSeries):
-        ser = differentiate(ser) if derivative else ser
-        return lambda zs: evaluate_many(ser, zs)
-    if callable(F) and not derivative:
-
-        def call(zs: np.ndarray) -> np.ndarray:
-            try:
-                return np.asarray(F(zs), dtype=complex)
-            except (TypeError, ValueError):
-                return np.array([complex(F(z)) for z in zs])
-
-        return call
-    raise InvalidParameter("expected a truncated series or named function")
-
-
 def min_real_part(F, r: float, n_angles: int = 256) -> float:
     """Minimum of Re F over n_angles equispaced points on |z| = r.
 
     Raises EvaluationSingularity when a sample lands on a pole (the
     value comes back non-finite).
     """
-    vals = evaluator(F)(circle(r, n_angles))
+    vals = circle_values(F, r, n_angles)
     if not np.all(np.isfinite(vals)):
-        raise EvaluationSingularity("sample hit a pole of the evaluator")
+        raise EvaluationSingularity("sample hit a pole of F")
     return float(np.min(vals.real))
 
 
@@ -167,30 +197,30 @@ CLASS_KINDS = (
 )
 
 
-def _class_quantity(kind: str, f, zs: np.ndarray, g) -> np.ndarray:
+def _class_quantity(kind: str, f, r: float, n_angles: int, g) -> np.ndarray:
+    zs = circle(r, n_angles)
+
+    def values(F, derivative=0):
+        return circle_values(F, r, n_angles, derivative)
+
     if kind == "bounded_turning":
-        return evaluator(f, derivative=True)(zs)
+        return values(f, 1)
     if kind == "ratio_positive":
-        return _safe_quotient(evaluator(f)(zs), zs)
+        return _safe_quotient(values(f), zs)
     if kind == "starlike":
-        return _safe_quotient(zs * evaluator(f, derivative=True)(zs), evaluator(f)(zs))
+        return _safe_quotient(zs * values(f, 1), values(f))
     # The remaining kinds need f'', which only the series representation
     # supplies; f' comes from the same series for consistency.
-    fp = differentiate(_as_series(f))
+    ser = _as_series(f)
     if kind == "convex":
-        fpp = differentiate(fp)
-        return 1.0 + _safe_quotient(
-            zs * evaluate_many(fpp, zs), evaluate_many(fp, zs)
-        )
+        return 1.0 + _safe_quotient(zs * values(ser, 2), values(ser, 1))
     if kind in ("close_to_convex", "quasi_convex"):
         if g is None:
             raise InvalidParameter(f"{kind} needs a reference function g")
-        gv = evaluator(g, derivative=True)(zs)
+        gv = values(g, 1)
         if kind == "close_to_convex":
-            return _safe_quotient(evaluator(f, derivative=True)(zs), gv)
-        fpp = differentiate(fp)
-        num = evaluate_many(fp, zs) + zs * evaluate_many(fpp, zs)
-        return _safe_quotient(num, gv)
+            return _safe_quotient(values(f, 1), gv)
+        return _safe_quotient(values(ser, 1) + zs * values(ser, 2), gv)
     raise InvalidParameter(f"unknown class kind: {kind!r}")
 
 
@@ -213,11 +243,10 @@ def class_predicate(
     Positive on a finite grid refutes nothing about the gaps between
     samples; treat a True as evidence, not proof.
     """
-    zs = circle(r, n_angles)
     kind = kind.replace("-", "_")
     if kind not in CLASS_KINDS:
         raise InvalidParameter(f"unknown class kind: {kind!r}")
-    vals = _class_quantity(kind, f, zs, g)
+    vals = _class_quantity(kind, f, r, n_angles, g)
     if not np.all(np.isfinite(vals)):
         raise EvaluationSingularity("class quantity non-finite on a sample")
     return float(np.min(vals.real)) > POSITIVITY_EPS
@@ -331,11 +360,10 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> Radiu
     principle: no zeros enclosed), which is monotone in r.  A capped
     result means no zero of f' was found up to RADIUS_CAP.
     """
-    ring = np.exp(1j * circle_angles(n_angles))
-    fprime = evaluator(f, derivative=True)
+    _require_angles(n_angles)
 
     def no_zero_inside(r: float) -> bool:
-        vals = fprime(r * ring)
+        vals = circle_values(f, r, n_angles, 1)
         if float(np.min(np.abs(vals))) <= POSITIVITY_EPS:
             return False
         return _winding_number(vals) == 0
@@ -393,7 +421,7 @@ def injectivity_probe(f, r: float, n_angles: int = 512) -> bool:
     """
     if n_angles > 4096:
         raise InvalidParameter("n_angles must lie in [8, 4096]")
-    w = evaluator(f)(circle(r, n_angles))
+    w = circle_values(f, r, n_angles)
     if not np.all(np.isfinite(w)):
         raise EvaluationSingularity("boundary sample hit a pole")
     if _min_pairwise_distance(w) <= 1e-9:

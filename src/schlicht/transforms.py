@@ -21,13 +21,12 @@ from .errors import (
     InvalidParameter,
     OmittedValueAttained,
 )
-from .probe import _winding_number, circle
+from .probe import _winding_number, circle_values
 from .series import (
     NormalizedSeries,
     TruncatedSeries,
     compose,
     divide,
-    evaluate_many,
     mobius_recompose,
     require_count,
     require_normalized,
@@ -171,7 +170,7 @@ def _omitted_value(spec: OmittedValue, f: TruncatedSeries) -> NormalizedSeries:
     zeros that f does not."""
     tail = abs(f.coeffs[-1])
     r = 0.95 if tail == 0 else min(0.95, (1e-3 / tail) ** (1.0 / f.order))
-    vals = evaluate_many(f, circle(r, 256)) - spec.xi
+    vals = circle_values(f, r, 256) - spec.xi
     if float(np.min(np.abs(vals))) <= 1e-9 or _winding_number(vals) != 0:
         raise OmittedValueAttained("f attains the value xi; transform undefined")
     return _finish_normalized(divide(spec.xi * f, spec.xi - f).coeffs)

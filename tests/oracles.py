@@ -73,6 +73,24 @@ def mp_mobius_recompose(coeffs, sigma: complex, dps: int = 40) -> np.ndarray:
         return np.array([complex(x) for x in acc])
 
 
+def mp_circle_values(coeffs, r: float, n: int, indices, derivative: int = 0, dps: int = 30):
+    """F^(derivative)(r e^{2 pi i j/n}) for F = sum c_k z^k at the given j,
+    by Horner in mpmath at `dps` decimal digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = [mpmath.ff(k, derivative) * mpmath.mpc(complex(c))  # k (k-1) ... (k-d+1) c_k
+             for k, c in enumerate(coeffs)][derivative:]
+        out = []
+        for j in indices:
+            z = mpmath.mpf(r) * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+            total = mpmath.mpc(0)
+            for c in reversed(a):
+                total = total * z + c
+            out.append(complex(total))
+        return np.array(out, dtype=complex)
+
+
 def fft_coefficients(values_fn, order: int, radius: float = 0.5, n_samples: int = 128) -> np.ndarray:
     """Taylor coefficients 0..order of an analytic function from its
     values on |z| = radius.  Exact (to roundoff) for polynomials of
@@ -248,3 +266,39 @@ def det_cofactor(m: np.ndarray) -> complex:
         minor = np.delete(m[1:], j, axis=1)
         total += (-1) ** j * complex(m[0, j]) * det_cofactor(minor)
     return total
+
+
+def horner_values(F, zs: np.ndarray, derivative: int = 0) -> np.ndarray:
+    """F, F' or F'' at the points zs: a carried closed form for F and F',
+    else the series (F or F.series), differentiated termwise and summed
+    by Horner."""
+    names = ("closed_form", "closed_form_derivative")
+    cf = getattr(F, names[derivative], None) if derivative < 2 else None
+    if cf is not None:
+        return np.asarray(cf(zs), dtype=complex)
+    c = np.asarray(getattr(F, "series", F).coeffs)
+    for _ in range(derivative):
+        c = np.arange(1, len(c)) * c[1:] if len(c) > 1 else np.zeros(1, dtype=complex)
+    return polyval(c, zs)
+
+
+def horner_class_quantity(kind: str, f, zs: np.ndarray, g=None) -> np.ndarray:
+    """The defining quantity of a class on the points zs, each function
+    summed by Horner at every point; convex and quasi-convex take f' and
+    f'' from the series even when f carries closed forms."""
+    if kind == "bounded_turning":
+        return horner_values(f, zs, 1)
+    if kind == "ratio_positive":
+        return horner_values(f, zs) / zs
+    if kind == "starlike":
+        return zs * horner_values(f, zs, 1) / horner_values(f, zs)
+    s = getattr(f, "series", f)
+    if kind == "convex":
+        return 1.0 + zs * horner_values(s, zs, 2) / horner_values(s, zs, 1)
+    gp = horner_values(g, zs, 1)
+    if kind == "close_to_convex":
+        return horner_values(f, zs, 1) / gp
+    if kind == "quasi_convex":
+        return (horner_values(s, zs, 1) + zs * horner_values(s, zs, 2)) / gp
+    raise ValueError(kind)
+

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from schlicht import class_radius, local_univalence_radius, named_function
 from schlicht.cli import MAX_ANGLES, MAX_ORDER, MAX_SAMPLES, main
 
 CLI = [sys.executable, "-m", "schlicht"]
@@ -224,6 +225,27 @@ class TestRadius:
         assert out.out == ""
         assert "tol must be a finite real number" in out.err
 
+    @pytest.mark.parametrize(
+        "argv, solve",
+        [
+            (["convex", "--order", "16"], lambda f: class_radius("convex", f)),
+            (["local-univalence", "--angles", "64"],
+             lambda f: local_univalence_radius(f, n_angles=64)),
+        ],
+        ids=["convex", "local-univalence"],
+    )
+    def test_trace_is_the_library_trace(self, argv, solve, capsys):
+        base = ["radius", argv[0], "--function", "thmA"] + argv[1:]
+        assert main(base) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(base + ["--trace"]) == 0
+        traced = json.loads(capsys.readouterr().out)
+        order = int(argv[argv.index("--order") + 1]) if "--order" in argv else 64
+        result = solve(named_function("thmA", order).series)
+        assert traced.pop("trace") == [list(step) for step in result.trace]
+        assert traced.pop("monotone") is result.monotone is True
+        assert traced == plain == result.to_dict()
+
     def test_degenerate_probe_exits_one(self):
         doc = json.dumps(
             {"order": 2, "coeffs": [[0.0, 0.0], [1.0, 0.0], [5000.0, 0.0]]}
@@ -344,3 +366,26 @@ class TestAngleCount:
         out = capsys.readouterr()
         assert out.out == ""
         assert "Traceback" not in out.err
+
+
+def test_fft_stays_unimported_outside_the_probes():
+    """build, transform, sample and functional never sum a series on a
+    circle, so they do not pay for importing numpy.fft."""
+    script = """if True:
+        import contextlib, io, sys
+        import schlicht, schlicht.cli
+        assert "numpy.fft" not in sys.modules, "numpy.fft imported by the package"
+        koebe = io.StringIO()
+        with contextlib.redirect_stdout(koebe):
+            schlicht.cli.main(["build", "koebe", "--order", "8"])
+        for argv in (["transform", "rotate", "--theta", "0.5"], ["functional", "bieberbach"]):
+            sys.stdin = io.StringIO(koebe.getvalue())
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert schlicht.cli.main(argv) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert schlicht.cli.main(["sample", "--seed", "1"]) == 0
+        assert "numpy.fft" not in sys.modules, "numpy.fft imported by a verb"
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+

@@ -141,6 +141,8 @@ CASES = [
     ("radius-quasi-convex", ["radius", "quasi-convex", "--function", "koebe",
                              "--order", "16", "--g", "{tmp}/g.json"], "", G_FILE),
     ("radius-no-predicate", ["radius", "--function", "koebe"], "", {}),
+    ("radius-convex-trace", ["radius", "convex", "--function", "koebe", "--order", "16",
+                             "--trace"], "", {}),
     # check and radius with --order above --angles, series and closed form
     ("radius-convex-order300-angles64", ["radius", "convex", "--function", "koebe",
                                          "--order", "300", "--angles", "64"], "", {}),

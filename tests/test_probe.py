@@ -9,6 +9,7 @@ from schlicht import (
     RadiusResult,
     alexander_inverse,
     apply,
+    circle_values,
     class_predicate,
     class_radius,
     from_starlike,
@@ -28,8 +29,24 @@ from schlicht.errors import (
     EvaluationSingularity,
     InvalidParameter,
 )
-from schlicht.probe import RADIUS_CAP, circle, circle_angles
-from schlicht.series import TruncatedSeries, constant
+from schlicht.probe import (
+    CLASS_KINDS,
+    INNER_RADIUS,
+    POSITIVITY_EPS,
+    RADIUS_CAP,
+    _winding_number,
+    circle,
+    circle_angles,
+)
+from schlicht.series import (
+    TruncatedSeries,
+    constant,
+    differentiate,
+    evaluate_many,
+    integrate_from_zero,
+)
+
+from oracles import horner_class_quantity, horner_values, mp_circle_values, random_coeffs
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 CONVEXITY_RADIUS = 2.0 - math.sqrt(3.0)
@@ -260,3 +277,128 @@ class TestInclusionChains:
                     assert class_predicate("starlike", fc, r)
                     assert class_predicate("close_to_convex", s, r, g=fc)
         assert checked >= 100
+
+
+def _derivative(f: TruncatedSeries, d: int) -> TruncatedSeries:
+    for _ in range(d):
+        f = differentiate(f)
+    return f
+
+
+class TestCircleValues:
+    """circle_values against Horner at every sample and against mpmath at
+    one, within 1e-13 of the summed term magnitudes sum |a_k| r^k, a the
+    coefficients of F^(d).  Orders above n_angles take the fold."""
+
+    RADII = (INNER_RADIUS, 0.3, 0.9, 0.999)
+
+    @pytest.mark.parametrize("n_angles", [8, 64, 256, 2048])
+    @pytest.mark.parametrize("order", [0, 1, 64, 256, 1024])
+    def test_matches_horner_and_mpmath(self, order, n_angles):
+        pytest.importorskip("mpmath")
+        f = TruncatedSeries(random_coeffs(np.random.default_rng([order, n_angles]), order))
+        one = [n_angles // 3]
+        for d in range(3):
+            fd = _derivative(f, d)
+            for r in self.RADII:
+                scale = float(np.sum(np.abs(fd.coeffs) * r ** np.arange(fd.order + 1)))
+                got = circle_values(f, r, n_angles, d)
+                assert got.shape == (n_angles,)
+                assert np.max(np.abs(got - evaluate_many(fd, circle(r, n_angles)))) <= 1e-13 * scale
+                ref = mp_circle_values(f.coeffs, r, n_angles, one, d)
+                assert np.max(np.abs(got[one] - ref)) <= 1e-13 * scale
+
+    def test_closed_form_before_series(self):
+        nf = named_function("koebe", 16)
+        zs = circle(0.99, 64)
+        assert np.array_equal(circle_values(nf, 0.99, 64), nf.closed_form(zs))
+        assert np.array_equal(circle_values(nf, 0.99, 64, 1), nf.closed_form_derivative(zs))
+        # no closed form for f'': the series answers
+        assert np.allclose(circle_values(nf, 0.5, 64, 2), evaluate_many(_derivative(nf.series, 2),
+                                                                        circle(0.5, 64)))
+
+    def test_plain_callable(self):
+        zs = circle(0.5, 16)
+        assert np.array_equal(circle_values(lambda z: z * z, 0.5, 16), zs * zs)
+        # a callable that refuses arrays is called point by point
+        scalar = lambda z: complex(z) ** 2
+        assert np.array_equal(circle_values(scalar, 0.5, 16), np.array([z ** 2 for z in zs]))
+        with pytest.raises(InvalidParameter):
+            circle_values(lambda z: z, 0.5, 16, derivative=1)
+
+    @pytest.mark.parametrize(
+        "r, n_angles, derivative",
+        [(0.0, 16, 0), (1.0, 16, 0), (math.nan, 16, 1), (0.5, 7, 0), (0.5, 0, 2), (0.5, 16, 3),
+         (0.5, 16, -1)],
+    )
+    def test_arguments_checked(self, r, n_angles, derivative):
+        with pytest.raises(InvalidParameter):
+            circle_values(koebe(8), r, n_angles, derivative)
+
+    def test_not_a_function(self):
+        with pytest.raises(InvalidParameter):
+            circle_values("koebe", 0.5, 16)
+
+
+def _starlike(seed: int, order: int):
+    return from_starlike(sample(seed, seed % 4 + 1, order=order))
+
+
+#: (order, n_angles): three with the order above the angle count, so
+#: the coefficients are folded before the transform.
+TRACE_GRIDS = ((16, 256), (64, 32), (200, 64), (300, 256))
+
+
+class TestTracesMatchHorner:
+    """Every bisection step decides as the Horner evaluation of the same
+    quantity on the same circle does, so the traces agree entry by entry."""
+
+    @pytest.mark.parametrize("order, n_angles", TRACE_GRIDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_class_radius(self, order, n_angles, seed):
+        f = _starlike(seed, order)
+        g = alexander_inverse(_starlike(seed + 7, order))
+        for kind in CLASS_KINDS:
+            def horner(r, kind=kind):
+                q = horner_class_quantity(kind, f, circle(r, n_angles), g)
+                return float(np.min(q.real)) > POSITIVITY_EPS
+
+            got = class_radius(kind, f, g=g, n_angles=n_angles)
+            assert got.trace == radius_solve(horner, predicate_name=kind).trace, kind
+
+    @pytest.mark.parametrize("tag", ["koebe", "thmA", "thmB"])
+    def test_class_radius_named(self, tag):
+        nf = named_function(tag, 64)
+        for kind in ("bounded_turning", "starlike", "convex", "ratio_positive"):
+            def horner(r, kind=kind):
+                q = horner_class_quantity(kind, nf, circle(r, 32), None)
+                return float(np.min(q.real)) > POSITIVITY_EPS
+
+            got = class_radius(kind, nf, n_angles=32)
+            assert got.trace == radius_solve(horner, predicate_name=kind).trace, kind
+
+    @pytest.mark.parametrize("order, n_angles", [(16, 256), (128, 64), (200, 64), (300, 256)])
+    def test_local_univalence(self, order, n_angles):
+        # f' = (1 - z/0.95) g' for a convex g: a zero of f' at 0.95, where
+        # the terms beyond n_angles are not small
+        gp = differentiate(alexander_inverse(_starlike(order, order))).coeffs
+        f = integrate_from_zero(TruncatedSeries(np.convolve(gp, [1.0, -1 / 0.95])[: len(gp)]))
+
+        def horner(r):
+            vals = horner_values(f, circle(r, n_angles), 1)
+            return float(np.min(np.abs(vals))) > POSITIVITY_EPS and _winding_number(vals) == 0
+
+        got = local_univalence_radius(f, n_angles=n_angles)
+        assert not got.capped
+        assert got.trace == radius_solve(horner, predicate_name="local_univalence").trace
+
+
+class TestMonotone:
+    def test_solver_traces_are_monotone(self):
+        assert class_radius("convex", koebe(16)).monotone
+        assert radius_solve(lambda r: True).monotone
+
+    def test_pass_above_a_fail(self):
+        res = RadiusResult(0.2, 0.3, 1, "p", trace=((0.001, True), (0.3, False), (0.4, True)))
+        assert not res.monotone
+
