@@ -23,7 +23,6 @@ from .caratheodory import (
 )
 from .errors import SchlichtError
 from .functionals import (
-    FunctionalReport,
     bieberbach_check,
     covering_check,
     fekete_szego,

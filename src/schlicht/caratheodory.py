@@ -2,8 +2,10 @@
 the series they induce, Schwarz-side changes of variable, the
 class-preserving operations, and the sharp coefficient checks.
 
-Normalization throughout: h(0) = 1.  Margins follow the convention
-bound minus value, so a violation is a margin below -VIOLATION_EPS.
+Normalization throughout: h(0) = 1.  Every sharp-inequality check, here
+and in functionals, returns a MarginReport: a value against its bound,
+with margin = bound - value, so a violation is a margin below
+-VIOLATION_EPS.
 """
 
 from __future__ import annotations
@@ -40,31 +42,41 @@ VIOLATION_EPS = 1e-9
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Named list of (label, margin) pairs with a violation threshold."""
+    """A nonnegative value against its sharp bound.  per_index, when set,
+    keeps the signed overshoot value_k - bound_k of every index a check
+    scanned, so a positive entry marks a violation there."""
 
     name: str
-    margins: tuple[tuple[object, float], ...]
-    threshold: float = VIOLATION_EPS
+    value: float
+    bound: float
+    per_index: tuple[tuple[int, float], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise InvalidParameter("report value must be finite and >= 0")
 
     @property
-    def worst(self) -> float:
-        return min(m for _, m in self.margins)
-
-    @property
-    def violations(self) -> list:
-        return [label for label, m in self.margins if m < -self.threshold]
+    def margin(self) -> float:
+        return self.bound - self.value
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.margin >= -VIOLATION_EPS
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "worst_margin": self.worst,
-            "violations": list(self.violations),
-            "margins": [[label, m] for label, m in self.margins],
-        }
+        out = {"name": self.name, "value": self.value, "bound": self.bound, "margin": self.margin}
+        if self.per_index is not None:
+            out["per_index"] = [[k, m] for k, m in self.per_index]
+        return out
+
+
+def _worst_index(name: str, labels, values: np.ndarray, bounds) -> MarginReport:
+    """Report value and bound at the index where value_k - bound_k is
+    largest, keeping every signed overshoot in per_index."""
+    over = values - bounds
+    k = int(np.argmax(over))
+    bound = float(np.broadcast_to(bounds, over.shape)[k])
+    return MarginReport(name, float(values[k]), bound, tuple(zip(labels, over.tolist())))
 
 
 @dataclass(frozen=True)
@@ -331,36 +343,36 @@ def _sample_rows(rng_seeds, n_atoms: int, order: int) -> np.ndarray:
 
 
 def check_coefficient_bound(h: TruncatedSeries) -> MarginReport:
-    """Margins 2 - |c_k| for k >= 1 (sharp bound for the class)."""
+    """|c_k| <= 2 for k >= 1 (sharp bound for the class), reported at
+    the worst index."""
     require_caratheodory(h)
     if h.order < 1:
         raise OrderTooLow("need at least one coefficient beyond the constant")
-    margins = _coefficient_margins(h.coeffs)
-    return MarginReport("coefficient_bound", tuple(enumerate(margins.tolist(), 1)))
+    return _worst_index("coefficient_bound", range(1, h.order + 1), _modulus(h.coeffs[1:]), 2.0)
 
 
-def _coefficient_margins(c: np.ndarray) -> np.ndarray:
-    """2 - |c_k| for k >= 1 along the last axis of c.  np.hypot gives the
-    bits of the scalar abs; np.abs of a complex array differs from it in
-    the last bit for about a third of inputs."""
-    return 2.0 - np.hypot(c.real, c.imag)[..., 1:]
+def _modulus(c: np.ndarray) -> np.ndarray:
+    """|c| elementwise.  np.hypot gives the bits of the scalar abs; np.abs
+    of a complex array differs from it in the last bit for about a third
+    of inputs."""
+    return np.hypot(c.real, c.imag)
 
 
 def check_pommerenke(h: TruncatedSeries) -> MarginReport:
-    """Margin (2 - |c_1|^2/2) - |c_2 - c_1^2/2| of the sharp second
-    coefficient inequality."""
+    """The sharp second coefficient inequality
+    |c_2 - c_1^2/2| <= 2 - |c_1|^2/2."""
     require_caratheodory(h)
     if h.order < 2:
         raise OrderTooLow("need order >= 2")
-    margin = _pommerenke_margin(complex(h.coeffs[1]), complex(h.coeffs[2]))
-    return MarginReport("pommerenke", ((2, margin),))
+    value, bound = _pommerenke_terms(complex(h.coeffs[1]), complex(h.coeffs[2]))
+    return MarginReport("pommerenke", value, bound)
 
 
-def _pommerenke_margin(c1: complex, c2: complex) -> float:
+def _pommerenke_terms(c1: complex, c2: complex) -> tuple[float, float]:
     # Python float power is libm pow, which differs from numpy's square
     # in the last bit for about one input in a thousand, so report_suite
     # calls this per sample rather than a numpy version of it.
-    return float((2.0 - abs(c1) ** 2 / 2.0) - abs(c2 - c1**2 / 2.0))
+    return abs(c2 - c1**2 / 2.0), 2.0 - abs(c1) ** 2 / 2.0
 
 
 def pommerenke_extremal(c1: complex, eps: complex, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -389,27 +401,10 @@ def pommerenke_extremal(c1: complex, eps: complex, order: int = DEFAULT_ORDER) -
     return divide(TruncatedSeries(num), TruncatedSeries(den))
 
 
-@dataclass(frozen=True)
-class SchwarzReport:
-    """Grid margins for the two pointwise Schwarz bounds."""
-
-    magnitude: MarginReport
-    derivative: MarginReport
-
-    @property
-    def ok(self) -> bool:
-        return self.magnitude.ok and self.derivative.ok
-
-    def to_dict(self) -> dict:
-        return {
-            "magnitude": self.magnitude.to_dict(),
-            "derivative": self.derivative.to_dict(),
-        }
-
-
-def schwarz_checks(theta, grid: ProbeGrid | None = None) -> SchwarzReport:
-    """Margins of |theta(z)| <= |z| and of the derivative bound
-    |theta'(z)| <= (1 - |theta(z)|^2) / (1 - |z|^2) on the grid.
+def schwarz_checks(theta, grid: ProbeGrid | None = None) -> tuple[MarginReport, MarginReport]:
+    """(magnitude, derivative): the bounds |theta(z)| <= |z| and
+    |theta'(z)| <= (1 - |theta(z)|^2) / (1 - |z|^2) on the grid, each
+    reported at its worst grid point.
 
     Both are evaluated on the truncating polynomial; for heavily
     truncated series the outer radii report the truncation, not the
@@ -418,16 +413,11 @@ def schwarz_checks(theta, grid: ProbeGrid | None = None) -> SchwarzReport:
     th = _as_schwarz(theta).series
     grid = grid or ProbeGrid.default()
     zs = grid.points()
-    vals = evaluate_many(th, zs)
+    az = np.abs(zs)
+    av = np.abs(evaluate_many(th, zs))
     dvals = evaluate_many(differentiate(th), zs)
-    mag = np.abs(zs) - np.abs(vals)
-    dbound = (1.0 - np.abs(vals) ** 2) / (1.0 - np.abs(zs) ** 2)
-    dmag = dbound - np.abs(dvals)
-    return SchwarzReport(
-        MarginReport(
-            "schwarz_magnitude", tuple((i, float(m)) for i, m in enumerate(mag))
-        ),
-        MarginReport(
-            "schwarz_derivative", tuple((i, float(m)) for i, m in enumerate(dmag))
-        ),
+    points = range(len(zs))
+    return (
+        _worst_index("schwarz_magnitude", points, av, az),
+        _worst_index("schwarz_derivative", points, np.abs(dvals), (1.0 - av**2) / (1.0 - az**2)),
     )

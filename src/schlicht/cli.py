@@ -259,13 +259,12 @@ def cmd_radius(args: argparse.Namespace) -> int:
     if predicate is None:
         raise InvalidParameter("radius needs a predicate (positional or --predicate)")
     f = _resolve_input(args)
+    grid = {} if args.angles is None else {"n_angles": args.angles}
     if predicate == "local-univalence":
-        angles = args.angles if args.angles is not None else 2048
-        result = local_univalence_radius(f, tol=args.tol, n_angles=angles)
+        result = local_univalence_radius(f, tol=args.tol, **grid)
     else:
-        angles = args.angles if args.angles is not None else 256
         g = _read_series(args.g) if args.g is not None else None
-        result = class_radius(predicate, f, g=g, tol=args.tol, n_angles=angles)
+        result = class_radius(predicate, f, g=g, tol=args.tol, **grid)
     out = result.to_dict()
     if args.trace:
         out["trace"] = result.trace

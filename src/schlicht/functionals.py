@@ -1,52 +1,27 @@
 """Coefficient functionals on normalized series, reported against
 their sharp bounds.
 
-Margins follow the convention bound minus value: nonnegative means the
-sharp inequality held, and equality cases come out as (numerically)
-zero margin.
+The checks return caratheodory.MarginReport: margin = bound - value,
+so a nonnegative margin means the sharp inequality held, and equality
+cases come out as (numerically) zero margin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .caratheodory import MarginReport
 from .errors import InvalidParameter, OrderTooLow
 from .series import TruncatedSeries, require_count, require_normalized
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    """Value of a nonnegative functional, with bound and margin when a
-    sharp bound applies; per_index carries indexwise margins for the
-    checks that scan a whole coefficient range."""
-
-    name: str
-    value: float
-    bound: float | None = None
-    margin: float | None = None
-    per_index: tuple[tuple[int, float], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise InvalidParameter("functional value must be finite and >= 0")
-
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "value": self.value}
-        out["bound"] = self.bound
-        out["margin"] = self.margin
-        if self.per_index is not None:
-            out["per_index"] = [[k, m] for k, m in self.per_index]
-        return out
 
 
 def _coeff(f: TruncatedSeries, k: int) -> complex:
     return complex(f.coeffs[k])
 
 
-def fekete_szego(f: TruncatedSeries, alpha: float) -> FunctionalReport:
+def fekete_szego(f: TruncatedSeries, alpha: float) -> MarginReport:
     """|a_3 - alpha a_2^2| against the sharp bound
     1 + 2 exp(-2 alpha/(1 - alpha)) on [0, 1], with the alpha = 1
     endpoint taken as its limit value 1."""
@@ -57,7 +32,7 @@ def fekete_szego(f: TruncatedSeries, alpha: float) -> FunctionalReport:
         raise InvalidParameter("alpha must lie in [0, 1]")
     value = abs(_coeff(f, 3) - alpha * _coeff(f, 2) ** 2)
     bound = 1.0 if alpha == 1 else 1.0 + 2.0 * math.exp(-2.0 * alpha / (1.0 - alpha))
-    return FunctionalReport("fekete_szego", value, bound, bound - value)
+    return MarginReport("fekete_szego", value, bound)
 
 
 def odd_c5(f: TruncatedSeries) -> complex:
@@ -97,26 +72,25 @@ def hankel(f: TruncatedSeries, q: int, n: int) -> complex:
     return 0j + a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
 
 
-def bieberbach_check(f: TruncatedSeries) -> FunctionalReport:
+def bieberbach_check(f: TruncatedSeries) -> MarginReport:
     """Per-index overshoots |a_k| - k for k >= 2 against the sharp
     coefficient bound |a_k| <= k, positive overshoot meaning a violation.
 
-    The report value is the worst overshoot clamped at zero, so a
-    clean series reports value 0; per-index entries keep the signed
-    overshoot for inspection (identity gives -k at index k).
+    Unlike the worst-index reports, the value is the worst overshoot
+    clamped at zero against bound 0, so a clean series reports value 0;
+    per-index entries keep the signed overshoot (identity gives -k at
+    index k).
     """
     require_normalized(f)
     if f.order < 2:
         raise OrderTooLow("need order >= 2")
     ks = np.arange(2, f.order + 1)
     overshoot = np.abs(f.coeffs[2:]) - ks
-    per_index = tuple((int(k), float(m)) for k, m in zip(ks, overshoot))
     value = max(0.0, float(np.max(overshoot)))
-    # +0.0 keeps a clean series from reporting margin -0.0
-    return FunctionalReport("bieberbach", value, 0.0, -value + 0.0, per_index)
+    return MarginReport("bieberbach", value, 0.0, tuple(zip(ks.tolist(), overshoot.tolist())))
 
 
-def covering_check(f: TruncatedSeries, xi: complex) -> FunctionalReport:
+def covering_check(f: TruncatedSeries, xi: complex) -> MarginReport:
     """|a_2 + 1/xi| against the sharp bound 2 for an omitted value xi.
 
     Equality at xi = -1/4 picks out the extremal covering situation.
@@ -128,4 +102,4 @@ def covering_check(f: TruncatedSeries, xi: complex) -> FunctionalReport:
     if xi == 0:
         raise InvalidParameter("omitted value must be nonzero")
     value = abs(_coeff(f, 2) + 1.0 / xi)
-    return FunctionalReport("covering", value, 2.0, 2.0 - value)
+    return MarginReport("covering", value, 2.0)

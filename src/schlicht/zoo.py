@@ -16,8 +16,8 @@ import numpy as np
 
 from .caratheodory import (
     VIOLATION_EPS,
-    _coefficient_margins,
-    _pommerenke_margin,
+    _modulus,
+    _pommerenke_terms,
     _sample_rows,
     pommerenke_extremal,
     require_caratheodory,
@@ -318,9 +318,10 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
             c[group] = _sample_rows(seeds[group], atoms, order)
         if not np.isfinite(c).all() or np.any(np.abs(c[:, 0] - 1.0) > 1e-12):
             raise NotCaratheodoryNormalized("expected finite coefficients and constant term 1")
+        pommerenke = [_pommerenke_terms(*c12) for c12 in c[:, 1:3].tolist()]
         sample_worst = {
-            "coefficient_bound": _coefficient_margins(c).min(axis=1),
-            "pommerenke": np.array([_pommerenke_margin(*c12) for c12 in c[:, 1:3].tolist()]),
+            "coefficient_bound": (2.0 - _modulus(c[:, 1:])).min(axis=1),
+            "pommerenke": np.array([bound - value for value, bound in pommerenke]),
             "ratio_positive": growth(_ratio_positive_rows(c), 2.0),
             "bounded_turning": growth(_bounded_turning_rows(c), 2.0 / kk),
             "starlike": growth(_starlike_rows(c), kk),

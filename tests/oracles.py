@@ -255,6 +255,29 @@ def report_per_sample(seed: int, n_samples: int, order: int = 32, eps: float | N
     }
 
 
+def coefficient_margins(c) -> np.ndarray:
+    """2 - |c_k| for k >= 1: the margin list that check_coefficient_bound
+    kept before it reported only its worst index (np.hypot gives the bits
+    of the scalar abs)."""
+    c = np.asarray(c)
+    return 2.0 - np.hypot(c.real, c.imag)[1:]
+
+
+def pommerenke_margin(c1: complex, c2: complex) -> float:
+    """(2 - |c_1|^2/2) - |c_2 - c_1^2/2| in the order check_pommerenke
+    summed it when it stored the margin."""
+    return float((2.0 - abs(c1) ** 2 / 2.0) - abs(c2 - c1**2 / 2.0))
+
+
+def schwarz_margins(zs, vals, dvals) -> tuple[np.ndarray, np.ndarray]:
+    """The margin lists of the two Schwarz bounds, |z| - |theta(z)| and
+    (1 - |theta(z)|^2)/(1 - |z|^2) - |theta'(z)|, from the values of theta
+    and theta' at the grid points zs."""
+    mag = np.abs(zs) - np.abs(vals)
+    dbound = (1.0 - np.abs(vals) ** 2) / (1.0 - np.abs(zs) ** 2)
+    return mag, dbound - np.abs(dvals)
+
+
 def det_cofactor(m: np.ndarray) -> complex:
     """Determinant by recursive cofactor expansion along the first row,
     summed in Python complex arithmetic."""

@@ -71,9 +71,9 @@ def test_criterion_02_caratheodory_bound():
         n_atoms = i % 8 + 1
         h = sample(rng_seed=i, n_atoms=n_atoms, order=32)
         rep = check_coefficient_bound(h)
-        worst = min(worst, rep.worst)
+        worst = min(worst, rep.margin)
         if n_atoms == 1:
-            deviations = np.abs([m for _, m in rep.margins])
+            deviations = np.abs([m for _, m in rep.per_index])
             single_dev = max(single_dev, float(deviations.max()))
     ok = worst >= -1e-12 and single_dev <= 1e-12
     record(
@@ -91,7 +91,7 @@ def test_criterion_03_pommerenke_equality():
         c1 = 2.0 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
         eps = np.exp(2j * np.pi * rng.uniform())
         h = pommerenke_extremal(c1, eps, order=8)
-        gap = max(gap, abs(check_pommerenke(h).worst))
+        gap = max(gap, abs(check_pommerenke(h).margin))
     ok = gap <= 1e-9
     record(3, f"pommerenke_extremal attains equality (max gap {gap:.2e})", ok)
 

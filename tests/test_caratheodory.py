@@ -24,7 +24,7 @@ from schlicht import (
     schwarz_checks,
     schwarz_to_h,
 )
-from schlicht.caratheodory import measure_from_dict, measure_to_dict
+from schlicht.caratheodory import VIOLATION_EPS, measure_from_dict, measure_to_dict
 from schlicht.errors import (
     InvalidMeasure,
     InvalidParameter,
@@ -32,7 +32,9 @@ from schlicht.errors import (
     OrderTooLow,
 )
 from schlicht.probe import ProbeGrid
-from schlicht.series import constant
+from schlicht.series import constant, differentiate
+
+from oracles import coefficient_margins, pommerenke_margin, schwarz_margins
 
 
 def linear(order: int) -> TruncatedSeries:
@@ -268,16 +270,16 @@ class TestSampling:
 class TestBoundChecks:
     def test_moebius_margins_all_zero(self):
         rep = check_coefficient_bound(moebius(16))
-        assert rep.worst == 0.0
-        assert not rep.violations
+        assert rep.margin == 0.0
+        assert rep.ok
 
     def test_unit_constant_margins_two(self):
         rep = check_coefficient_bound(constant(1.0, 8))
-        assert all(m == 2.0 for _, m in rep.margins)
-        assert check_pommerenke(constant(1.0, 8)).worst == 2.0
+        assert all(m == -2.0 for _, m in rep.per_index)
+        assert check_pommerenke(constant(1.0, 8)).margin == 2.0
 
     def test_pommerenke_moebius_zero(self):
-        assert abs(check_pommerenke(moebius(4)).worst) < 1e-12
+        assert abs(check_pommerenke(moebius(4)).margin) < 1e-12
 
     def test_order_too_low(self):
         with pytest.raises(OrderTooLow):
@@ -311,7 +313,7 @@ class TestPommerenkeExtremal:
             c1 = (rng.uniform(0, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             eps = np.exp(1j * rng.uniform(0, 2 * np.pi))
             h = pommerenke_extremal(c1, eps, order=8)
-            assert abs(check_pommerenke(h).worst) < 1e-9
+            assert abs(check_pommerenke(h).margin) < 1e-9
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):
@@ -323,17 +325,17 @@ class TestPommerenkeExtremal:
 class TestSchwarzChecks:
     def test_rotation_is_equality_case(self):
         theta = SchwarzFunction(linear(16))
-        rep = schwarz_checks(theta)
-        mags = [m for _, m in rep.magnitude.margins]
-        ders = [m for _, m in rep.derivative.margins]
+        magnitude, derivative = schwarz_checks(theta)
+        mags = [m for _, m in magnitude.per_index]
+        ders = [m for _, m in derivative.per_index]
         assert max(abs(m) for m in mags) < 1e-12
         assert max(abs(m) for m in ders) < 1e-12
 
     def test_strictly_interior_function_has_slack(self):
         half_square = TruncatedSeries([0.0, 0.0, 0.5] + [0.0] * 6)
-        rep = schwarz_checks(SchwarzFunction(half_square))
-        assert all(m > 0 for _, m in rep.magnitude.margins)
-        assert all(m > 0 for _, m in rep.derivative.margins)
+        magnitude, derivative = schwarz_checks(SchwarzFunction(half_square))
+        assert all(m < 0 for _, m in magnitude.per_index)
+        assert all(m < 0 for _, m in derivative.per_index)
 
     def test_subordination_witnesses_pass(self):
         # order 256 keeps the truncation tail under the margin threshold
@@ -341,5 +343,44 @@ class TestSchwarzChecks:
         grid = ProbeGrid((0.3, 0.6, 0.9), 64)
         for seed in range(10):
             h = sample(seed, seed % 3 + 1, order=256)
-            rep = schwarz_checks(h_to_schwarz(h), grid)
-            assert rep.ok
+            magnitude, derivative = schwarz_checks(h_to_schwarz(h), grid)
+            assert magnitude.ok and derivative.ok
+
+
+class TestMarginOracle:
+    """The worst-index reports against the margin lists they replaced:
+    margin is the old worst (smallest) margin to the bit, ok agrees with
+    the old violation count, and per_index negates the old list."""
+
+    @staticmethod
+    def assert_matches(rep, margins, first_label):
+        old = margins.tolist()
+        assert repr(rep.margin) == repr(min(old))
+        assert rep.ok == (not any(m < -VIOLATION_EPS for m in old))
+        assert [k for k, _ in rep.per_index] == list(range(first_label, first_label + len(old)))
+        assert [m for _, m in rep.per_index] == (-margins).tolist()
+
+    def test_coefficient_and_pommerenke(self):
+        for i in range(3000):
+            h = sample(i, i % 8 + 1, order=(2, 3, 16, 32)[i % 4])
+            self.assert_matches(check_coefficient_bound(h), coefficient_margins(h.coeffs), 1)
+            rep = check_pommerenke(h)
+            old = pommerenke_margin(complex(h.coeffs[1]), complex(h.coeffs[2]))
+            assert repr(rep.margin) == repr(old)
+            assert rep.ok == (not old < -VIOLATION_EPS)
+
+    def test_schwarz_witnesses(self):
+        grid = ProbeGrid.default()
+        zs = grid.points()
+        broken = 0
+        for seed in range(40):
+            theta = h_to_schwarz(sample(seed, seed % 3 + 1, order=(8, 16, 64, 256)[seed % 4])).series
+            vals = evaluate_many(theta, zs)
+            dvals = evaluate_many(differentiate(theta), zs)
+            reports = schwarz_checks(theta, grid)
+            for rep, margins in zip(reports, schwarz_margins(zs, vals, dvals)):
+                self.assert_matches(rep, margins, 0)
+                broken += not rep.ok
+        # low orders break the bounds at the outer radii, so both outcomes occur
+        assert 0 < broken < 80
+

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from schlicht import (
+    SchwarzFunction,
     bieberbach_check,
+    check_coefficient_bound,
+    check_pommerenke,
     covering_check,
     fekete_szego,
     from_starlike,
     hankel,
     identity,
     koebe,
+    moebius,
     odd_c5,
     sample,
+    schwarz_checks,
     sqrt_even_transform,
 )
+from schlicht.caratheodory import VIOLATION_EPS
 from schlicht.errors import InvalidParameter, OrderTooLow
 from schlicht.series import TruncatedSeries
 
@@ -188,12 +194,59 @@ class TestCovering:
             covering_check(koebe(4), 0.0)
 
 
-class TestReportShape:
-    def test_report_requires_nonnegative_value(self):
-        from schlicht import FunctionalReport
+def _schwarz(which):
+    return lambda theta: schwarz_checks(theta)[which]
 
-        with pytest.raises(InvalidParameter):
-            FunctionalReport("bad", -1.0)
+
+# Each check with an input where its bound holds, one where it fails,
+# and whether its report lists per-index overshoots.
+REPORT_CASES = [
+    pytest.param(
+        check_coefficient_bound, moebius(16), TruncatedSeries([1.0, 2.5, 0.5]), True,
+        id="coefficient_bound",
+    ),
+    pytest.param(
+        check_pommerenke, moebius(4), TruncatedSeries([1.0, 0.0, 3.0]), False, id="pommerenke"
+    ),
+    pytest.param(
+        _schwarz(0), SchwarzFunction(TruncatedSeries([0.0, 0.0, 0.5])),
+        SchwarzFunction(TruncatedSeries([0.0, 1.5])), True, id="schwarz_magnitude",
+    ),
+    pytest.param(
+        _schwarz(1), SchwarzFunction(TruncatedSeries([0.0, 0.0, 0.5])),
+        SchwarzFunction(TruncatedSeries([0.0, 1.5])), True, id="schwarz_derivative",
+    ),
+    pytest.param(
+        lambda f: fekete_szego(f, 0.0), koebe(8), TruncatedSeries([0.0, 1.0, 0.0, 5.0]), False,
+        id="fekete_szego",
+    ),
+    pytest.param(
+        lambda f: covering_check(f, -0.25), koebe(8), identity(8), False, id="covering"
+    ),
+    pytest.param(
+        bieberbach_check, koebe(16), TruncatedSeries([0.0, 1.0, 5.0]), True, id="bieberbach"
+    ),
+]
+
+
+class TestReportShape:
+    @pytest.mark.parametrize("check, holds, fails, indexed", REPORT_CASES)
+    def test_one_report_shape(self, check, holds, fails, indexed):
+        good, bad = check(holds), check(fails)
+        assert good.ok and not bad.ok
+        keys = {"name", "value", "bound", "margin"} | ({"per_index"} if indexed else set())
+        for rep in (good, bad):
+            d = rep.to_dict()
+            assert set(d) == keys
+            assert repr(rep.margin) == repr(rep.bound - rep.value) == repr(d["margin"])
+            assert rep.ok == (rep.margin >= -VIOLATION_EPS)
+
+    def test_report_requires_nonnegative_value(self):
+        from schlicht import MarginReport
+
+        for value in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameter):
+                MarginReport("bad", value, 0.0)
 
     def test_to_dict_roundtrips_fields(self):
         rep = fekete_szego(koebe(4), 0.5)
