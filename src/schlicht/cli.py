@@ -40,8 +40,8 @@ from .errors import (
 from .functionals import bieberbach_check, covering_check, fekete_szego, hankel
 from .probe import (
     CLASS_KINDS,
-    circle,
     circle_angles,
+    circle_values,
     class_predicate,
     class_radius,
     injectivity_probe,
@@ -50,7 +50,6 @@ from .probe import (
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
-    evaluate_many,
     require_count,
     series_from_dict,
     series_to_dict,
@@ -164,7 +163,8 @@ def _resolve_input(args: argparse.Namespace) -> TruncatedSeries:
 
 
 def _write_boundary_csv(path: str, f: TruncatedSeries, r: float, n_angles: int) -> None:
-    values = evaluate_many(f, circle(r, n_angles))
+    # the curve the probes decide on, sample for sample
+    values = circle_values(f, r, n_angles)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "re", "im"])

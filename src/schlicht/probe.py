@@ -10,6 +10,12 @@ Every probe sees a function on the same equispaced circle |z| = r,
 r in (0, 1), at 8 or more angles, through one kernel, circle_values.
 It prefers a carried closed form over the truncated series; a series
 is summed on the circle by one inverse DFT of its scaled coefficients.
+A radius solve builds its sampler once (_circle_sampler: derivative
+coefficients, exponents, unit roots) and only rescales at each step.
+
+The injectivity probe visits no more pairs than it must: near samples
+among neighbours in order of real part, crossings by a sweep over the
+segments' bounding boxes in bounded chunks.
 """
 
 from __future__ import annotations
@@ -55,10 +61,14 @@ def circle_angles(n_angles: int) -> np.ndarray:
     return 2 * np.pi * np.arange(n_angles) / n_angles
 
 
+def _unit_circle(n_angles: int) -> np.ndarray:
+    return np.exp(1j * circle_angles(n_angles))
+
+
 def circle(r: float, n_angles: int) -> np.ndarray:
     """The points r e^{i theta} on |z| = r, r in (0, 1), at the circle_angles."""
     _require_radius(r)
-    return r * np.exp(1j * circle_angles(n_angles))
+    return r * _unit_circle(n_angles)
 
 
 #: Names of the closed forms a named function may carry, by derivative.
@@ -79,29 +89,52 @@ def circle_values(F, r: float, n_angles: int, derivative: int = 0) -> np.ndarray
     (k+1)...(k+d) c_{k+d}, and the terms whose k agree mod n share a
     phase, so the a_k r^k are folded mod n before the transform.
     """
+    return _circle_sampler(F, n_angles, derivative)(r)
+
+
+def _circle_sampler(F, n_angles: int, derivative: int = 0) -> Callable[[float], np.ndarray]:
+    """r -> circle_values(F, r, n_angles, derivative).
+
+    The work that does not depend on r is done once: the choice of
+    representation, the coefficients a_k of F^(d) and their exponents,
+    and the unit roots.  Each call then computes a * r**k or r * unit,
+    the same float operations that circle_values makes on its own.
+    """
     if derivative not in (0, 1, 2):
         raise InvalidParameter("derivative must be 0, 1 or 2")
     cf = getattr(F, _CLOSED_FORMS[derivative], None) if derivative < 2 else None
-    if cf is not None:
-        return np.asarray(cf(circle(r, n_angles)), dtype=complex)
     ser = getattr(F, "series", F)
-    if isinstance(ser, TruncatedSeries):
-        _require_radius(r)
+    if cf is None and isinstance(ser, TruncatedSeries):
         _require_angles(n_angles)
         a = ser.coeffs
         for _ in range(derivative):
             a = np.arange(1, len(a)) * a[1:]
-        a = a * r ** np.arange(len(a))
-        if len(a) > n_angles:
-            a = np.pad(a, (0, -len(a) % n_angles)).reshape(-1, n_angles).sum(axis=0)
-        return np.fft.ifft(a, n_angles, norm="forward")
-    if callable(F) and derivative == 0:
-        zs = circle(r, n_angles)
+        k = np.arange(len(a))
+        fold = (0, -len(a) % n_angles) if len(a) > n_angles else None
+
+        def series_values(r: float) -> np.ndarray:
+            _require_radius(r)
+            b = a * r**k
+            if fold is not None:
+                b = np.pad(b, fold).reshape(-1, n_angles).sum(axis=0)
+            return np.fft.ifft(b, n_angles, norm="forward")
+
+        return series_values
+    if cf is None and not (callable(F) and derivative == 0):
+        raise InvalidParameter("expected a truncated series or named function")
+    unit = _unit_circle(n_angles)
+
+    def point_values(r: float) -> np.ndarray:
+        _require_radius(r)
+        zs = r * unit
+        if cf is not None:
+            return np.asarray(cf(zs), dtype=complex)
         try:
             return np.asarray(F(zs), dtype=complex)
         except (TypeError, ValueError):
             return np.array([complex(F(z)) for z in zs])
-    raise InvalidParameter("expected a truncated series or named function")
+
+    return point_values
 
 
 @dataclass(frozen=True)
@@ -197,37 +230,58 @@ CLASS_KINDS = (
 )
 
 
-def _class_quantity(kind: str, f, r: float, n_angles: int, g) -> np.ndarray:
-    zs = circle(r, n_angles)
+def _class_quantity(kind: str, f, n_angles: int, g) -> Callable[[float], np.ndarray]:
+    """r -> the defining quantity of the class on circle(r, n_angles),
+    with the circle samplers of f (and g) built once."""
 
-    def values(F, derivative=0):
-        return circle_values(F, r, n_angles, derivative)
+    def sampler(F, derivative=0):
+        return _circle_sampler(F, n_angles, derivative)
 
+    unit = _unit_circle(n_angles)
     if kind == "bounded_turning":
-        return values(f, 1)
+        return sampler(f, 1)
     if kind == "ratio_positive":
-        return _safe_quotient(values(f), zs)
+        fv = sampler(f)
+        return lambda r: _safe_quotient(fv(r), r * unit)
     if kind == "starlike":
-        return _safe_quotient(zs * values(f, 1), values(f))
+        fp, fv = sampler(f, 1), sampler(f)
+        return lambda r: _safe_quotient(r * unit * fp(r), fv(r))
     # The remaining kinds need f'', which only the series representation
     # supplies; f' comes from the same series for consistency.
     ser = _as_series(f)
     if kind == "convex":
-        return 1.0 + _safe_quotient(zs * values(ser, 2), values(ser, 1))
-    if kind in ("close_to_convex", "quasi_convex"):
-        if g is None:
-            raise InvalidParameter(f"{kind} needs a reference function g")
-        gv = values(g, 1)
-        if kind == "close_to_convex":
-            return _safe_quotient(values(f, 1), gv)
-        return _safe_quotient(values(ser, 1) + zs * values(ser, 2), gv)
-    raise InvalidParameter(f"unknown class kind: {kind!r}")
+        f1, f2 = sampler(ser, 1), sampler(ser, 2)
+        return lambda r: 1.0 + _safe_quotient(r * unit * f2(r), f1(r))
+    if g is None:
+        raise InvalidParameter(f"{kind} needs a reference function g")
+    gp = sampler(g, 1)
+    if kind == "close_to_convex":
+        fp = sampler(f, 1)
+        return lambda r: _safe_quotient(fp(r), gp(r))
+    f1, f2 = sampler(ser, 1), sampler(ser, 2)
+    return lambda r: _safe_quotient(f1(r) + r * unit * f2(r), gp(r))
 
 
 def _safe_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     if np.min(np.abs(den)) <= 1e-13:
         raise EvaluationSingularity("denominator vanished on a probe sample")
     return num / den
+
+
+def _class_holds(kind: str, f, n_angles: int, g) -> Callable[[float], bool]:
+    """r -> class_predicate(kind, f, r, n_angles, g), built once."""
+    kind = kind.replace("-", "_")
+    if kind not in CLASS_KINDS:
+        raise InvalidParameter(f"unknown class kind: {kind!r}")
+    quantity = _class_quantity(kind, f, n_angles, g)
+
+    def holds(r: float) -> bool:
+        vals = quantity(r)
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationSingularity("class quantity non-finite on a sample")
+        return float(np.min(vals.real)) > POSITIVITY_EPS
+
+    return holds
 
 
 def class_predicate(
@@ -243,13 +297,7 @@ def class_predicate(
     Positive on a finite grid refutes nothing about the gaps between
     samples; treat a True as evidence, not proof.
     """
-    kind = kind.replace("-", "_")
-    if kind not in CLASS_KINDS:
-        raise InvalidParameter(f"unknown class kind: {kind!r}")
-    vals = _class_quantity(kind, f, r, n_angles, g)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationSingularity("class quantity non-finite on a sample")
-    return float(np.min(vals.real)) > POSITIVITY_EPS
+    return _class_holds(kind, f, n_angles, g)(r)
 
 
 def partial_sum(f: TruncatedSeries, k: int) -> NormalizedSeries:
@@ -338,7 +386,7 @@ def class_radius(
     """Bisection bracket for the largest circle on which a class
     predicate holds."""
     return radius_solve(
-        lambda r: class_predicate(kind, f, r, n_angles, g),
+        _class_holds(kind, f, n_angles, g),
         tol=tol,
         predicate_name=kind.replace("-", "_"),
     )
@@ -360,10 +408,10 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> Radiu
     principle: no zeros enclosed), which is monotone in r.  A capped
     result means no zero of f' was found up to RADIUS_CAP.
     """
-    _require_angles(n_angles)
+    f_prime = _circle_sampler(f, n_angles, 1)
 
     def no_zero_inside(r: float) -> bool:
-        vals = circle_values(f, r, n_angles, 1)
+        vals = f_prime(r)
         if float(np.min(np.abs(vals))) <= POSITIVITY_EPS:
             return False
         return _winding_number(vals) == 0
@@ -371,40 +419,74 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> Radiu
     return radius_solve(no_zero_inside, tol=tol, predicate_name="local_univalence")
 
 
-def _min_pairwise_distance(w: np.ndarray) -> float:
-    n = len(w)
-    best = np.inf
-    step = 512
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        block = np.abs(w[i0:i1, None] - w[None, :])
-        block[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
-        best = min(best, float(block.min()))
-    return best
+def _has_near_pair(w: np.ndarray, eps: float = 1e-9) -> bool:
+    """Any two samples within eps of each other, |w_i - w_j| <= eps.
+
+    |w_i - w_j| is at least |Re w_i - Re w_j| in floats too (hypot never
+    rounds below its larger argument), so only pairs whose real parts
+    lie within eps qualify.  In order of real part, the k-th neighbours
+    are compared for k = 1, 2, ...; a sample whose k-th neighbour is
+    already farther than eps in real part has no nearer one beyond, so
+    the samples still in play shrink at each k until none is left.
+    """
+    w = w[np.argsort(w.real, kind="stable")]
+    x = w.real
+    p = np.arange(len(w))
+    k = 1
+    while True:
+        p = p[p + k < len(w)]
+        p = p[x[p + k] - x[p] <= eps]
+        if p.size == 0:
+            return False
+        if np.any(np.abs(w[p + k] - w[p]) <= eps):
+            return True
+        k += 1
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u.real * v.imag - u.imag * v.real
 
 
+#: Segment pairs tested per step of the crossing sweep: its memory is
+#: bounded by this, whatever the number of pairs whose boxes meet.
+_SWEEP_CHUNK = 1 << 15
+
+
 def _has_proper_crossing(a: np.ndarray, b: np.ndarray) -> bool:
     """Any pair of segments [a_i, b_i], [a_j, b_j] crossing transversally.
 
-    Shared endpoints (adjacent segments of the polyline) give zero
-    orientation products and are excluded by the strict inequalities.
+    Two segments can cross only if their bounding boxes meet.  With the
+    segments sorted by left x-end, the partners of the p-th that come
+    after it and meet it in x are the next ones up to the first whose
+    left end lies right of its right end (searchsorted, side="right",
+    so boxes that only touch still count).  Those pairs are generated
+    in chunks of _SWEEP_CHUNK, the ones whose y-extents also meet are
+    kept, and the orientation test runs on them alone, returning at the
+    first crossing.  The test is symmetric in (i, j), so each unordered
+    pair is tested once.  Shared endpoints (adjacent segments of the
+    polyline) give zero orientation products and are excluded by the
+    strict inequalities.
     """
     u = b - a
-    n = len(a)
-    step = 256
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        ai = a[i0:i1, None]
-        bi = b[i0:i1, None]
-        ui = u[i0:i1, None]
-        d1 = _cross(u[None, :], ai - a[None, :])
-        d2 = _cross(u[None, :], bi - a[None, :])
-        d3 = _cross(ui, a[None, :] - ai)
-        d4 = _cross(ui, b[None, :] - ai)
+    xlo, xhi = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
+    ylo, yhi = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    order = np.argsort(xlo, kind="stable")
+    # pairs (p, q), p < q, in sorted positions: q runs over p+1 .. end[p]-1
+    end = np.searchsorted(xlo[order], xhi[order], side="right")
+    counts = end - np.arange(1, len(a) + 1)
+    stop = np.cumsum(counts)
+    total = int(stop[-1])
+    for t0 in range(0, total, _SWEEP_CHUNK):
+        t = np.arange(t0, min(t0 + _SWEEP_CHUNK, total))
+        p = np.searchsorted(stop, t, side="right")
+        i = order[p]
+        j = order[p + 1 + t - (stop[p] - counts[p])]
+        meet = (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i])
+        i, j = i[meet], j[meet]
+        d1 = _cross(u[j], a[i] - a[j])
+        d2 = _cross(u[j], b[i] - a[j])
+        d3 = _cross(u[i], a[j] - a[i])
+        d4 = _cross(u[i], b[j] - a[i])
         if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
             return True
     return False
@@ -414,16 +496,28 @@ def injectivity_probe(f, r: float, n_angles: int = 512) -> bool:
     """Probe whether f looks injective on |z| = r.
 
     Samples the boundary image, requires all samples pairwise distinct
-    beyond 1e-9, and sweeps the closed polyline for transversal
-    self-crossings.  Returns False on the first failure.  This is a
+    beyond 1e-9, and looks for transversal self-crossings of the closed
+    polyline.  Returns False on the first failure.  This is a
     refutation device: True only means no self-contact was detected at
     this resolution.
+
+    Neither test visits all n^2 pairs.  Near pairs are looked for among
+    neighbours in order of real part (_has_near_pair), which finds
+    exactly the pairs an all-pairs scan would.  Crossings are looked for
+    by a sweep over the segments sorted by left x-end (_has_proper_crossing)
+    that runs the orientation test only on pairs whose bounding boxes
+    meet, in chunks of _SWEEP_CHUNK pairs.  A pair whose boxes are apart
+    cannot cross; an all-pairs test could still report a crossing there
+    from rounding, between nearly collinear segments, and the sweep
+    never does.  Time is O(n log n) plus the pairs whose boxes meet in
+    x and the neighbours within 1e-9 in real part: about n on a curve
+    that crosses each vertical line a few times, up to n^2 / 2 on one
+    whose segments all span one x-range.  Memory is O(n + _SWEEP_CHUNK)
+    either way.
     """
     if n_angles > 4096:
         raise InvalidParameter("n_angles must lie in [8, 4096]")
     w = circle_values(f, r, n_angles)
     if not np.all(np.isfinite(w)):
         raise EvaluationSingularity("boundary sample hit a pole")
-    if _min_pairwise_distance(w) <= 1e-9:
-        return False
-    return not _has_proper_crossing(w, np.roll(w, -1))
+    return not (_has_near_pair(w) or _has_proper_crossing(w, np.roll(w, -1)))

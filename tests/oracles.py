@@ -325,3 +325,97 @@ def horner_class_quantity(kind: str, f, zs: np.ndarray, g=None) -> np.ndarray:
         return (horner_values(s, zs, 1) + zs * horner_values(s, zs, 2)) / gp
     raise ValueError(kind)
 
+
+
+def min_pairwise_distance(w: np.ndarray) -> float:
+    """Smallest |w_i - w_j|, i != j, over all pairs, in blocks of rows."""
+    n = len(w)
+    best = np.inf
+    step = 512
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        block = np.abs(w[i0:i1, None] - w[None, :])
+        block[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
+        best = min(best, float(block.min()))
+    return best
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u.real * v.imag - u.imag * v.real
+
+
+def has_proper_crossing(a: np.ndarray, b: np.ndarray) -> bool:
+    """Any pair of segments [a_i, b_i], [a_j, b_j] crossing transversally,
+    by the orientation test on all n^2 ordered pairs, in blocks of rows."""
+    u = b - a
+    n = len(a)
+    step = 256
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        ai = a[i0:i1, None]
+        bi = b[i0:i1, None]
+        ui = u[i0:i1, None]
+        d1 = _cross(u[None, :], ai - a[None, :])
+        d2 = _cross(u[None, :], bi - a[None, :])
+        d3 = _cross(ui, a[None, :] - ai)
+        d4 = _cross(ui, b[None, :] - ai)
+        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+            return True
+    return False
+
+
+def injective_all_pairs(w: np.ndarray) -> bool:
+    """The injectivity decision on the closed polyline through the
+    samples w: no two samples within 1e-9 and no transversal crossing,
+    both over all pairs."""
+    if min_pairwise_distance(w) <= 1e-9:
+        return False
+    return not has_proper_crossing(w, np.roll(w, -1))
+
+
+def per_call_circle_values(F, r: float, n: int, derivative: int = 0) -> np.ndarray:
+    """F, F' or F'' on |z| = r at the angles 2 pi k/n, everything rebuilt
+    on each call: the closed form on the points, else the series'
+    derivative coefficients scaled by r^k, folded mod n and summed by
+    one inverse DFT, else a plain callable (for F only)."""
+    names = ("closed_form", "closed_form_derivative")
+    cf = getattr(F, names[derivative], None) if derivative < 2 else None
+    zs = r * np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    if cf is not None:
+        return np.asarray(cf(zs), dtype=complex)
+    ser = getattr(F, "series", F)
+    if hasattr(ser, "coeffs"):
+        a = ser.coeffs
+        for _ in range(derivative):
+            a = np.arange(1, len(a)) * a[1:]
+        a = a * r ** np.arange(len(a))
+        if len(a) > n:
+            a = np.pad(a, (0, -len(a) % n)).reshape(-1, n).sum(axis=0)
+        return np.fft.ifft(a, n, norm="forward")
+    assert derivative == 0
+    return np.asarray(F(zs), dtype=complex)
+
+
+def per_call_class_quantity(kind: str, f, r: float, n: int, g=None) -> np.ndarray:
+    """The defining quantity of a class on |z| = r from per_call_circle_values,
+    in the operand order of the probe: convex and quasi-convex take f' and
+    f'' from the series even when f carries closed forms."""
+    zs = r * np.exp(1j * (2 * np.pi * np.arange(n) / n))
+
+    def values(F, d=0):
+        return per_call_circle_values(F, r, n, d)
+
+    if kind == "bounded_turning":
+        return values(f, 1)
+    if kind == "ratio_positive":
+        return values(f) / zs
+    if kind == "starlike":
+        return zs * values(f, 1) / values(f)
+    s = getattr(f, "series", f)
+    if kind == "convex":
+        return 1.0 + zs * values(s, 2) / values(s, 1)
+    if kind == "close_to_convex":
+        return values(f, 1) / values(g, 1)
+    if kind == "quasi_convex":
+        return (values(s, 1) + zs * values(s, 2)) / values(g, 1)
+    raise ValueError(kind)

@@ -3,9 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from schlicht import class_radius, local_univalence_radius, named_function
+from schlicht import circle_values, class_radius, local_univalence_radius, named_function
+from schlicht.probe import circle_angles
 from schlicht.cli import MAX_ANGLES, MAX_ORDER, MAX_SAMPLES, main
 
 CLI = [sys.executable, "-m", "schlicht"]
@@ -189,6 +191,21 @@ class TestCheck:
         # koebe at z = 0.5: 0.5/0.25 = 2
         assert abs(float(re) - 2.0) < 1e-9
         assert abs(float(im)) < 1e-12
+
+    @pytest.mark.parametrize("r", [0.3, 0.9])
+    def test_boundary_csv_is_the_probed_curve(self, tmp_path, r):
+        # the CSV holds the samples the probe decided on, bit for bit
+        path = tmp_path / "curve.csv"
+        proc = run_cli(
+            "check", "--class", "convex", "--function", "koebe", "--order", "64",
+            "--r", str(r), "--angles", "64", "--boundary", str(path),
+        )
+        assert proc.returncode == 0
+        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+        theta = np.array([float(t) for t, _, _ in rows])
+        values = np.array([complex(float(re), float(im)) for _, re, im in rows])
+        assert np.array_equal(theta, circle_angles(64))
+        assert np.array_equal(values, circle_values(named_function("koebe", 64).series, r, 64))
 
 
 class TestRadius:

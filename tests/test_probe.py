@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ from schlicht.probe import (
     INNER_RADIUS,
     POSITIVITY_EPS,
     RADIUS_CAP,
+    _circle_sampler,
+    _class_quantity,
+    _has_proper_crossing,
     _winding_number,
     circle,
     circle_angles,
@@ -46,7 +50,16 @@ from schlicht.series import (
     integrate_from_zero,
 )
 
-from oracles import horner_class_quantity, horner_values, mp_circle_values, random_coeffs
+from oracles import (
+    has_proper_crossing,
+    horner_class_quantity,
+    horner_values,
+    injective_all_pairs,
+    mp_circle_values,
+    per_call_circle_values,
+    per_call_class_quantity,
+    random_coeffs,
+)
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 CONVEXITY_RADIUS = 2.0 - math.sqrt(3.0)
@@ -261,8 +274,10 @@ class TestInjectivity:
         assert not injectivity_probe(nf, 0.6)
 
     def test_angle_ceiling(self):
-        with pytest.raises(InvalidParameter):
-            injectivity_probe(koebe(8), 0.5, n_angles=5000)
+        assert injectivity_probe(named_function("koebe"), 0.5, n_angles=4096)
+        for n_angles in (4097, 5000):
+            with pytest.raises(InvalidParameter):
+                injectivity_probe(koebe(8), 0.5, n_angles=n_angles)
 
 
 class TestInclusionChains:
@@ -402,3 +417,173 @@ class TestMonotone:
         res = RadiusResult(0.2, 0.3, 1, "p", trace=((0.001, True), (0.3, False), (0.4, True)))
         assert not res.monotone
 
+
+def _polyline(points):
+    """A plain callable whose samples on any circle of len(points) angles
+    are the given points, in order."""
+    w = np.array(points, dtype=complex)
+    return (lambda z: w), len(w)
+
+
+def _injectivity_cases():
+    """(F, r, n_angles) for 1,200 seeded curves, both outcomes included."""
+    rng = np.random.default_rng(2024)
+    koebe_nf = named_function("koebe")
+    loop = partial_sum(named_function("thmA").series, 2)
+    cases = []
+    for _ in range(350):
+        cases.append((koebe_nf, float(rng.uniform(0.01, 0.999)), int(rng.choice([64, 128, 256]))))
+        cases.append((loop, float(rng.uniform(0.05, 0.95)), int(rng.choice([64, 128, 256]))))
+    for n_angles, count in ((64, 120), (256, 100), (512, 50), (1024, 30)):
+        for seed in range(count):
+            f = from_starlike(sample(n_angles * 1000 + seed, seed % 6 + 1, order=63))
+            cases.append((f, float(rng.uniform(0.3, 0.99)), n_angles))
+    for _ in range(200):
+        c = np.zeros(9, dtype=complex)
+        c[1] = 1.0
+        c[2:] = (rng.normal(size=7) + 1j * rng.normal(size=7)) * 0.5 / np.arange(2, 9)
+        cases.append((TruncatedSeries(c), float(rng.uniform(0.2, 0.99)), int(rng.choice([64, 128]))))
+    return cases
+
+
+#: Two collinear segments on a line of slope about 0.52, 0.06 apart
+#: along it: rounding makes the orientation test report a crossing.
+APART = (-2.0062136703739175 + 0.05751560362751418j, -0.7287710996574257 + 0.7287868122071214j,
+         -0.6731872855495472 + 0.7579950247162226j, 0.24808253335152586 + 1.2421043842585298j)
+
+#: Two nearly collinear segments A -> B, C -> D whose boxes touch at one
+#: x (B and C share their real part, their imaginary parts are one ulp
+#: apart): rounding makes the orientation test report a crossing.
+TOUCHING = (-1.1092429679741924 - 1.8261429544130703j, 0.4440595827482592 + 0.11798837221304115j,
+            0.4440595827482592 + 0.11798837221304113j, 0.8325062852700635 + 0.6041727300163611j)
+
+
+class TestInjectivityOracle:
+    """injectivity_probe decides as the all-pairs tests it replaced
+    (tests/oracles.py) on seeded curves and hand-built polylines."""
+
+    def test_seeded_curves(self):
+        outcomes = []
+        for F, r, n_angles in _injectivity_cases():
+            got = injectivity_probe(F, r, n_angles)
+            assert got == injective_all_pairs(circle_values(F, r, n_angles)), (F, r, n_angles)
+            outcomes.append(got)
+        assert len(outcomes) >= 1200
+        assert 300 <= sum(outcomes) <= len(outcomes) - 300
+
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            # a repeated sample: octagon vertex 0, the one of largest real
+            # part, again at position 5
+            ([np.exp(1j * np.pi * k / 4) for k in (0, 1, 2, 3, 4, 0, 6, 7)], False),
+            # the octagon's bottom vertex moved 5e-10 right of the top one
+            ([0j + np.exp(1j * np.pi * k / 4) if k != 6 else 5e-10 - 1j for k in range(8)], True),
+            # an hourglass pinched at two samples 5e-10 apart, with two samples
+            # between them in real part but far in imaginary part
+            ([0, -1 + 1j, 2e-10 + 3j, 1 + 1j, 5e-10, 1 - 1j, 3e-10 - 3j, -1 - 1j], False),
+            # a figure eight, its samples offset so that none hits the crossing
+            (list(np.sin(circle_angles(100) + 0.1) + 0.5j * np.sin(2 * circle_angles(100) + 0.2)),
+             False),
+            # a side that doubles back over itself: collinear overlapping segments
+            ([0, 2, 2 - 1j, 3 - 1j, 3, 1, 1 + 1j, 1j], True),
+            # vertical segments sharing x = 0, with zero-width boxes that tie
+            ([0, 1j, 1 + 1j, 1 + 2j, 2j, 3j, -1 + 3j, -1], True),
+            # ... and a horizontal segment crossing one of them
+            ([0, 1j, 1 + 1j, 1 + 2j, 2j, 3j, -1 + 3j, -1 + 0.5j, 2 + 0.5j, 2 - 1j], False),
+        ],
+        ids=["repeated", "apart-in-imag", "pinch", "figure-eight", "collinear-overlap",
+             "vertical-tie", "vertical-crossed"],
+    )
+    def test_hand_built(self, points, expected):
+        F, n_angles = _polyline(points)
+        w = circle_values(F, 0.5, n_angles)
+        assert injective_all_pairs(w) is expected
+        assert injectivity_probe(F, 0.5, n_angles) is expected
+
+    def test_touching_boxes_are_tested(self):
+        # the orientation test runs on every pair whose closed boxes meet,
+        # so it reports what the all-pairs test reports, rounding included
+        a, b = np.array(TOUCHING[0::2]), np.array(TOUCHING[1::2])
+        assert has_proper_crossing(a, b)
+        assert _has_proper_crossing(a, b)
+
+    def test_apart_boxes_are_not(self):
+        # the one difference: pairs whose boxes are apart are never tested,
+        # so rounding cannot report a crossing between them.  A polygon
+        # with a straight side of three segments, its first and third the
+        # APART pair, is simple; the all-pairs test calls it non-injective.
+        F, n_angles = _polyline(list(APART) + [1, -1j, -1 - 1.2j, -2.5 - 0.5j])
+        w = circle_values(F, 0.5, n_angles)
+        assert has_proper_crossing(np.array(APART[0::2]), np.array(APART[1::2]))
+        assert not injective_all_pairs(w)
+        assert injectivity_probe(F, 0.5, n_angles)
+
+
+def test_injectivity_memory_is_bounded():
+    """Every segment of this zigzag spans the same x-range, so every pair
+    of boxes meets in x; the sweep still works in bounded chunks."""
+    zigzag = lambda z: np.cos(2048 * np.angle(z)) + 1j * np.unwrap(np.angle(z))
+    tracemalloc.start()
+    try:
+        assert not injectivity_probe(zigzag, 0.5, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+def _sampler_functions():
+    """(label, f, g, n_angles): a series with order + 1 above n_angles
+    (folded), named functions with closed forms, a plain callable."""
+    g = alexander_inverse(_starlike(7, 200))
+    return [
+        ("folded", _starlike(3, 200), g, 64),
+        ("koebe", named_function("koebe", 64), named_function("koebe", 64), 32),
+        ("thmA", named_function("thmA", 64), g, 256),
+        ("callable", lambda z: z / (1 - z) ** 2, None, 64),
+    ]
+
+
+class TestSamplers:
+    """A sampler built once gives, at every radius, the bits that
+    rebuilding everything at that radius gives."""
+
+    RADII = (INNER_RADIUS, 0.05, 0.2679, 0.5, 0.9, 0.998)
+
+    @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
+                             ids=[c[0] for c in _sampler_functions()])
+    def test_values(self, label, f, g, n_angles):
+        for d in range(3) if label != "callable" else (0,):
+            sampler = _circle_sampler(f, n_angles, d)
+            for r in self.RADII:
+                want = per_call_circle_values(f, r, n_angles, d)
+                assert np.array_equal(sampler(r), want), (d, r)
+                assert np.array_equal(circle_values(f, r, n_angles, d), want), (d, r)
+        for r in self.RADII:
+            assert min_real_part(f, r, n_angles) == float(np.min(
+                per_call_circle_values(f, r, n_angles).real))
+
+    @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
+                             ids=[c[0] for c in _sampler_functions()])
+    def test_class_quantities_and_traces(self, label, f, g, n_angles):
+        usable = CLASS_KINDS if label != "callable" else ("ratio_positive",)
+        for kind in CLASS_KINDS:
+            if kind not in usable:
+                with pytest.raises(InvalidParameter):
+                    class_radius(kind, f, g=g, n_angles=n_angles)
+                continue
+            quantity = _class_quantity(kind, f, n_angles, g)
+            res = class_radius(kind, f, g=g, n_angles=n_angles)
+            for r, ok in res.trace:
+                assert ok == class_predicate(kind, f, r, n_angles, g), (kind, r)
+                assert np.array_equal(quantity(r), per_call_class_quantity(kind, f, r, n_angles, g))
+
+    @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions()[:3],
+                             ids=[c[0] for c in _sampler_functions()[:3]])
+    def test_local_univalence_trace(self, label, f, g, n_angles):
+        res = local_univalence_radius(f, n_angles=n_angles)
+        for r, ok in res.trace:
+            vals = per_call_circle_values(f, r, n_angles, 1)
+            want = float(np.min(np.abs(vals))) > POSITIVITY_EPS and _winding_number(vals) == 0
+            assert ok == want, r
