@@ -30,7 +30,6 @@ from .functionals import (
     odd_c5,
 )
 from .probe import (
-    ProbeGrid,
     RadiusResult,
     circle_values,
     class_predicate,

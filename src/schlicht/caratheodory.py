@@ -22,7 +22,7 @@ from .errors import (
     NotCaratheodoryNormalized,
     OrderTooLow,
 )
-from .probe import ProbeGrid
+from .probe import circle
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -401,18 +401,21 @@ def pommerenke_extremal(c1: complex, eps: complex, order: int = DEFAULT_ORDER) -
     return divide(TruncatedSeries(num), TruncatedSeries(den))
 
 
-def schwarz_checks(theta, grid: ProbeGrid | None = None) -> tuple[MarginReport, MarginReport]:
+def schwarz_checks(
+    theta, radii=(0.3, 0.6, 0.9, 0.95), n_angles: int = 64
+) -> tuple[MarginReport, MarginReport]:
     """(magnitude, derivative): the bounds |theta(z)| <= |z| and
-    |theta'(z)| <= (1 - |theta(z)|^2) / (1 - |z|^2) on the grid, each
-    reported at its worst grid point.
+    |theta'(z)| <= (1 - |theta(z)|^2) / (1 - |z|^2) at circle(r,
+    n_angles) for each r in radii, each reported at its worst point.
 
     Both are evaluated on the truncating polynomial; for heavily
     truncated series the outer radii report the truncation, not the
     function.
     """
     th = _as_schwarz(theta).series
-    grid = grid or ProbeGrid.default()
-    zs = grid.points()
+    if len(radii) == 0:
+        raise InvalidParameter("need at least one radius")
+    zs = np.concatenate([circle(r, n_angles) for r in radii])
     az = np.abs(zs)
     av = np.abs(evaluate_many(th, zs))
     dvals = evaluate_many(differentiate(th), zs)

@@ -4,7 +4,7 @@ Verbs:
 
   build       emit a named function as series JSON
   transform   apply a transform to a series read from a file or stdin
-  check       evaluate a one-shot class predicate at a fixed radius
+  check       evaluate a one-shot predicate at a fixed radius
   radius      bisect for the largest radius where a predicate holds
   functional  evaluate a coefficient functional against its sharp bound
   sample      draw a random Herglotz function (or its measure)
@@ -30,22 +30,15 @@ import sys
 from typing import Optional, Sequence
 
 from .caratheodory import measure_to_dict, sample, sample_measure
-from .errors import (
-    InvalidMeasure,
-    InvalidParameter,
-    NotCaratheodoryNormalized,
-    OrderTooLow,
-    SchlichtError,
-)
+from .errors import InvalidParameter, SchlichtError, ValidationError
 from .functionals import bieberbach_check, covering_check, fekete_szego, hankel
 from .probe import (
-    CLASS_KINDS,
+    PREDICATE_KINDS,
     circle_angles,
     circle_values,
     class_predicate,
     class_radius,
-    injectivity_probe,
-    local_univalence_radius,
+    predicate_angles,
 )
 from .series import (
     DEFAULT_ORDER,
@@ -70,30 +63,19 @@ from .transforms import (
 )
 from .zoo import STOCK_FUNCTIONS, named_function, report_suite
 
-#: Largest --order, --samples and --angles accepted, so that a typo
-#: cannot ask for gigabytes of coefficients or hours of sampling.
+#: Count flags capped before any work, as (flag, positive, most), so
+#: that a typo cannot ask for gigabytes of memory or hours of work.
 MAX_ORDER = 4096
 MAX_SAMPLES = 10**6
 MAX_ANGLES = 65536
-
-CHECK_KINDS = tuple(k.replace("_", "-") for k in CLASS_KINDS) + ("injectivity",)
-
-RADIUS_PREDICATES = (
-    "local-univalence",
-    "bounded-turning",
-    "starlike",
-    "convex",
-    "ratio-positive",
-    "close-to-convex",
-    "quasi-convex",
-)
-
-# Exceptions that indicate bad user input rather than a failed computation.
-_VALIDATION_ERRORS = (
-    InvalidParameter,
-    OrderTooLow,
-    NotCaratheodoryNormalized,
-    InvalidMeasure,
+MAX_ATOMS = 1024
+MAX_STAGES = 10**5
+_CAPS = (
+    ("--order", False, MAX_ORDER),
+    ("--samples", True, MAX_SAMPLES),
+    ("--angles", False, MAX_ANGLES),
+    ("--atoms", True, MAX_ATOMS),
+    ("--n", False, MAX_STAGES),
 )
 
 
@@ -242,15 +224,12 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     f = _resolve_input(args)
-    kind = args.klass
-    if kind == "injectivity":
-        holds = injectivity_probe(f, args.r, n_angles=args.angles)
-    else:
-        g = _read_series(args.g) if args.g is not None else None
-        holds = class_predicate(kind, f, args.r, n_angles=args.angles, g=g)
+    g = _read_series(args.g) if args.g is not None else None
+    n_angles = predicate_angles(args.klass, args.angles)
+    holds = class_predicate(args.klass, f, args.r, n_angles, g)
     if args.boundary is not None:
-        _write_boundary_csv(args.boundary, f, args.r, args.angles)
-    _emit({"class": kind, "holds": bool(holds), "r": args.r}, args.output)
+        _write_boundary_csv(args.boundary, f, args.r, n_angles)
+    _emit({"class": args.klass, "holds": bool(holds), "r": args.r}, args.output)
     return 0
 
 
@@ -259,12 +238,8 @@ def cmd_radius(args: argparse.Namespace) -> int:
     if predicate is None:
         raise InvalidParameter("radius needs a predicate (positional or --predicate)")
     f = _resolve_input(args)
-    grid = {} if args.angles is None else {"n_angles": args.angles}
-    if predicate == "local-univalence":
-        result = local_univalence_radius(f, tol=args.tol, **grid)
-    else:
-        g = _read_series(args.g) if args.g is not None else None
-        result = class_radius(predicate, f, g=g, tol=args.tol, **grid)
+    g = _read_series(args.g) if args.g is not None else None
+    result = class_radius(predicate, f, g=g, tol=args.tol, n_angles=args.angles)
     out = result.to_dict()
     if args.trace:
         out["trace"] = result.trace
@@ -321,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="normalized univalent functions as truncated power series",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    predicates = tuple(k.replace("_", "-") for k in PREDICATE_KINDS)
 
     p = sub.add_parser("build", help="emit a named function as series JSON")
     p.add_argument("name", choices=STOCK_FUNCTIONS)
@@ -343,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_transform)
 
     p = sub.add_parser("check", help="one-shot class predicate at radius r")
-    p.add_argument("--class", dest="klass", required=True, choices=CHECK_KINDS)
+    p.add_argument("--class", dest="klass", required=True, choices=predicates)
     p.add_argument("--r", type=float, required=True, help="test radius in (0, 1)")
-    p.add_argument("--angles", type=int, default=256)
+    p.add_argument("--angles", type=int, default=None)
     p.add_argument("--g", help="comparison series JSON file for two-function classes")
     p.add_argument("--boundary", help="write boundary samples as CSV (theta,re,im)")
     _add_function_source(p)
@@ -353,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("radius", help="largest radius where a predicate holds")
-    p.add_argument("predicate", nargs="?", choices=RADIUS_PREDICATES)
-    p.add_argument("--predicate", dest="predicate_flag", choices=RADIUS_PREDICATES)
+    p.add_argument("predicate", nargs="?", choices=predicates)
+    p.add_argument("--predicate", dest="predicate_flag", choices=predicates)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--angles", type=int, default=None)
     p.add_argument("--g", help="comparison series JSON file for two-function classes")
@@ -400,14 +376,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_signed_values(argv))
     try:
-        if hasattr(args, "order"):
-            require_count(args.order, "--order", most=MAX_ORDER)
-        if hasattr(args, "samples"):
-            require_count(args.samples, "--samples", positive=True, most=MAX_SAMPLES)
-        if getattr(args, "angles", None) is not None:
-            require_count(args.angles, "--angles", most=MAX_ANGLES)
+        for flag, positive, most in _CAPS:
+            value = getattr(args, flag[2:], None)
+            if value is not None:
+                require_count(value, flag, positive=positive, most=most)
         return args.handler(args)
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SchlichtError as exc:

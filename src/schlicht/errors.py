@@ -9,11 +9,15 @@ class SchlichtError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidParameter(SchlichtError):
+class ValidationError(SchlichtError):
+    """Bad input rather than a failed computation; the CLI exits 2."""
+
+
+class InvalidParameter(ValidationError):
     """A parameter lies outside its documented domain."""
 
 
-class OrderTooLow(SchlichtError):
+class OrderTooLow(ValidationError):
     """The series does not carry enough coefficients for the request."""
 
 
@@ -30,11 +34,11 @@ class BranchPointAtOrigin(SchlichtError):
     branch cut (the closed negative real axis, zero included)."""
 
 
-class NotCaratheodoryNormalized(SchlichtError):
+class NotCaratheodoryNormalized(ValidationError):
     """A Caratheodory-side argument must have constant term 1."""
 
 
-class InvalidMeasure(SchlichtError):
+class InvalidMeasure(ValidationError):
     """Atomic measure fails nonnegativity or total-mass normalization."""
 
 

@@ -1,10 +1,14 @@
-"""Numerical probes on disk grids: positivity predicates, radius
-solvers, and boundary-curve injectivity checks.
+"""Numerical probes on circles |z| = r: class predicates, local
+univalence and boundary injectivity, at one radius or by radius solve.
 
 Everything here samples finitely many points, so a passing check can
 refute a property but never certify it.  Thresholds are strict: a
 quantity counts as positive only when it clears POSITIVITY_EPS, and a
 radius bracket is reported with the predicate trace that produced it.
+
+class_predicate evaluates a kind of PREDICATE_KINDS at one radius and
+class_radius bisects it, both through _holds, the only code that knows
+the kinds and how many angles each samples by default.
 
 Every probe sees a function on the same equispaced circle |z| = r,
 r in (0, 1), at 8 or more angles, through one kernel, circle_values.
@@ -138,30 +142,6 @@ def _circle_sampler(F, n_angles: int, derivative: int = 0) -> Callable[[float], 
 
 
 @dataclass(frozen=True)
-class ProbeGrid:
-    """Concentric sampling circles: strictly increasing radii in (0, 1),
-    at least 8 angles per circle."""
-
-    radii: tuple[float, ...]
-    angles_per_circle: int = 64
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.radii, dtype=float)
-        if r.size == 0 or np.any(r <= 0) or np.any(r >= 1) or np.any(np.diff(r) <= 0):
-            raise InvalidParameter("radii must be strictly increasing within (0, 1)")
-        if self.angles_per_circle < 8:
-            raise InvalidParameter("need at least 8 angles per circle")
-        object.__setattr__(self, "radii", tuple(float(x) for x in r))
-
-    @classmethod
-    def default(cls) -> "ProbeGrid":
-        return cls((0.3, 0.6, 0.9, 0.95), 64)
-
-    def points(self) -> np.ndarray:
-        return np.concatenate([circle(r, self.angles_per_circle) for r in self.radii])
-
-
-@dataclass(frozen=True)
 class RadiusResult:
     """Bracket [lo, hi] for a radius problem, from a sampled predicate:
     evidence, not proof.
@@ -229,6 +209,20 @@ CLASS_KINDS = (
     "quasi_convex",
 )
 
+#: Every predicate on |z| = r: the classes, whose defining quantity must
+#: have positive real part, then f' free of zeros inside the circle and
+#: f injective on it.  Both are monotone in r (Darboux), so a radius
+#: solve on "injectivity" brackets the radius of univalence.
+PREDICATE_KINDS = CLASS_KINDS + ("local_univalence", "injectivity")
+
+#: Angles sampled when none are given, where it is not 256.
+_DEFAULT_ANGLES = {"local_univalence": 2048, "injectivity": 512}
+
+
+def predicate_angles(kind: str, n_angles: int | None = None) -> int:
+    """n_angles, or when it is None the number of angles kind samples."""
+    return _DEFAULT_ANGLES.get(kind.replace("-", "_"), 256) if n_angles is None else n_angles
+
 
 def _class_quantity(kind: str, f, n_angles: int, g) -> Callable[[float], np.ndarray]:
     """r -> the defining quantity of the class on circle(r, n_angles),
@@ -268,36 +262,45 @@ def _safe_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _class_holds(kind: str, f, n_angles: int, g) -> Callable[[float], bool]:
-    """r -> class_predicate(kind, f, r, n_angles, g), built once."""
+def _holds(kind: str, f, n_angles: int | None, g) -> Callable[[float], bool]:
+    """r -> whether the predicate kind holds on circle(r, n_angles), with
+    the circle samplers built once; n_angles None takes the kind's
+    default."""
     kind = kind.replace("-", "_")
-    if kind not in CLASS_KINDS:
-        raise InvalidParameter(f"unknown class kind: {kind!r}")
-    quantity = _class_quantity(kind, f, n_angles, g)
+    if kind not in PREDICATE_KINDS:
+        raise InvalidParameter(f"unknown predicate kind: {kind!r}")
+    n_angles = predicate_angles(kind, n_angles)
+    if kind == "local_univalence":
+        f_prime = _circle_sampler(f, n_angles, 1)
+        return lambda r: not encloses_zero(f_prime(r), POSITIVITY_EPS)
+    if kind == "injectivity":
+        if n_angles > 4096:
+            raise InvalidParameter("n_angles must lie in [8, 4096]")
+        values = _circle_sampler(f, n_angles)
+    else:
+        values = _class_quantity(kind, f, n_angles, g)
 
     def holds(r: float) -> bool:
-        vals = quantity(r)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationSingularity("class quantity non-finite on a sample")
-        return float(np.min(vals.real)) > POSITIVITY_EPS
+        w = values(r)
+        if not np.all(np.isfinite(w)):
+            raise EvaluationSingularity(f"{kind} sample non-finite: a pole on the circle")
+        if kind == "injectivity":
+            return not (_has_near_pair(w) or _has_proper_crossing(w, np.roll(w, -1)))
+        return float(np.min(w.real)) > POSITIVITY_EPS
 
     return holds
 
 
-def class_predicate(
-    kind: str,
-    f,
-    r: float,
-    n_angles: int = 256,
-    g=None,
-) -> bool:
-    """True when the defining quantity of the class stays strictly
-    positive (beyond POSITIVITY_EPS) on the sampled circle |z| = r.
+def class_predicate(kind: str, f, r: float, n_angles: int | None = None, g=None) -> bool:
+    """True when the predicate kind (one of PREDICATE_KINDS) holds on
+    the sampled circle |z| = r; for a class, when its defining quantity
+    stays strictly positive (beyond POSITIVITY_EPS).  n_angles None
+    samples the kind's default, predicate_angles(kind).
 
-    Positive on a finite grid refutes nothing about the gaps between
-    samples; treat a True as evidence, not proof.
+    A True on a finite grid says nothing about the gaps between
+    samples; treat it as evidence, not proof.
     """
-    return _class_holds(kind, f, n_angles, g)(r)
+    return _holds(kind, f, n_angles, g)(r)
 
 
 def partial_sum(f: TruncatedSeries, k: int) -> NormalizedSeries:
@@ -381,12 +384,12 @@ def class_radius(
     f,
     g=None,
     tol: float = 1e-6,
-    n_angles: int = 256,
+    n_angles: int | None = None,
 ) -> RadiusResult:
-    """Bisection bracket for the largest circle on which a class
-    predicate holds."""
+    """Bisection bracket for the largest circle on which the predicate
+    kind (one of PREDICATE_KINDS) holds."""
     return radius_solve(
-        _class_holds(kind, f, n_angles, g),
+        _holds(kind, f, n_angles, g),
         tol=tol,
         predicate_name=kind.replace("-", "_"),
     )
@@ -400,23 +403,19 @@ def _winding_number(values: np.ndarray) -> int:
     return int(round(float(steps.sum()) / (2 * np.pi)))
 
 
+def encloses_zero(values: np.ndarray, eps: float) -> bool:
+    """Whether the closed loop of samples comes within eps of 0 or winds
+    around it: by the argument principle, whether the function sampled
+    on the circle may have a zero inside."""
+    return float(np.min(np.abs(values))) <= eps or _winding_number(values) != 0
+
+
 def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> RadiusResult:
-    """Bracket the largest disk on which f' stays away from zero.
-
-    The predicate at radius r demands both min |f'| > POSITIVITY_EPS on
-    the circle and winding number 0 of f' around it (argument
-    principle: no zeros enclosed), which is monotone in r.  A capped
-    result means no zero of f' was found up to RADIUS_CAP.
-    """
-    f_prime = _circle_sampler(f, n_angles, 1)
-
-    def no_zero_inside(r: float) -> bool:
-        vals = f_prime(r)
-        if float(np.min(np.abs(vals))) <= POSITIVITY_EPS:
-            return False
-        return _winding_number(vals) == 0
-
-    return radius_solve(no_zero_inside, tol=tol, predicate_name="local_univalence")
+    """Bracket the largest disk on which f' has no zero: on the circle
+    f' must stay beyond POSITIVITY_EPS from 0 and not wind around it
+    (encloses_zero), which is monotone in r.  A capped result means no
+    zero of f' was found up to RADIUS_CAP."""
+    return class_radius("local_univalence", f, tol=tol, n_angles=n_angles)
 
 
 def _has_near_pair(w: np.ndarray, eps: float = 1e-9) -> bool:
@@ -501,23 +500,14 @@ def injectivity_probe(f, r: float, n_angles: int = 512) -> bool:
     refutation device: True only means no self-contact was detected at
     this resolution.
 
-    Neither test visits all n^2 pairs.  Near pairs are looked for among
-    neighbours in order of real part (_has_near_pair), which finds
-    exactly the pairs an all-pairs scan would.  Crossings are looked for
-    by a sweep over the segments sorted by left x-end (_has_proper_crossing)
-    that runs the orientation test only on pairs whose bounding boxes
-    meet, in chunks of _SWEEP_CHUNK pairs.  A pair whose boxes are apart
-    cannot cross; an all-pairs test could still report a crossing there
-    from rounding, between nearly collinear segments, and the sweep
-    never does.  Time is O(n log n) plus the pairs whose boxes meet in
-    x and the neighbours within 1e-9 in real part: about n on a curve
-    that crosses each vertical line a few times, up to n^2 / 2 on one
-    whose segments all span one x-range.  Memory is O(n + _SWEEP_CHUNK)
-    either way.
+    Neither test visits all n^2 pairs: near pairs are looked for among
+    neighbours in order of real part (_has_near_pair), crossings only
+    between segments whose bounding boxes meet (_has_proper_crossing),
+    so a pair whose boxes are apart is never reported, where an
+    all-pairs orientation test could report one from rounding.  Time
+    is O(n log n) plus the pairs whose boxes meet in x: about n on a
+    curve that crosses each vertical line a few times, up to n^2 / 2 on
+    one whose segments all span one x-range.  Memory is
+    O(n + _SWEEP_CHUNK) either way.
     """
-    if n_angles > 4096:
-        raise InvalidParameter("n_angles must lie in [8, 4096]")
-    w = circle_values(f, r, n_angles)
-    if not np.all(np.isfinite(w)):
-        raise EvaluationSingularity("boundary sample hit a pole")
-    return not (_has_near_pair(w) or _has_proper_crossing(w, np.roll(w, -1)))
+    return class_predicate("injectivity", f, r, n_angles)

@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameter,
     OmittedValueAttained,
 )
-from .probe import _winding_number, circle_values
+from .probe import circle_values, encloses_zero
 from .series import (
     NormalizedSeries,
     TruncatedSeries,
@@ -171,7 +171,7 @@ def _omitted_value(spec: OmittedValue, f: TruncatedSeries) -> NormalizedSeries:
     tail = abs(f.coeffs[-1])
     r = 0.95 if tail == 0 else min(0.95, (1e-3 / tail) ** (1.0 / f.order))
     vals = circle_values(f, r, 256) - spec.xi
-    if float(np.min(np.abs(vals))) <= 1e-9 or _winding_number(vals) != 0:
+    if encloses_zero(vals, 1e-9):
         raise OmittedValueAttained("f attains the value xi; transform undefined")
     return _finish_normalized(divide(spec.xi * f, spec.xi - f).coeffs)
 

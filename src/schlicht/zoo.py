@@ -307,7 +307,7 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
 
     def growth(f, cap):
         # cap is the sharp bound on |a_k| for the class at hand
-        return (cap - np.abs(f[:, 2:])).min(axis=1)
+        return (cap - _modulus(f[:, 2:])).min(axis=1)
 
     block = max(1, REPORT_BLOCK_COEFFS // (order + 1))
     for start in range(0, n_samples, block):

@@ -224,7 +224,7 @@ def report_per_sample(seed: int, n_samples: int, order: int = 32, eps: float | N
 
     def growth_margin(f, cap) -> float:
         kk = np.arange(2, len(f), dtype=float)
-        return float(np.min(cap(kk) - np.abs(f[2:])))
+        return float(np.min(cap(kk) - np.hypot(f[2:].real, f[2:].imag)))
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
     for i in range(n_samples):

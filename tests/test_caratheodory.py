@@ -31,7 +31,7 @@ from schlicht.errors import (
     NotCaratheodoryNormalized,
     OrderTooLow,
 )
-from schlicht.probe import ProbeGrid
+from schlicht.probe import circle
 from schlicht.series import constant, differentiate
 
 from oracles import coefficient_margins, pommerenke_margin, schwarz_margins
@@ -337,13 +337,38 @@ class TestSchwarzChecks:
         assert all(m < 0 for _, m in magnitude.per_index)
         assert all(m < 0 for _, m in derivative.per_index)
 
+    def test_default_grid_shape(self):
+        # four circles, 0.3, 0.6, 0.9 and 0.95, of 64 angles each
+        for rep in schwarz_checks(SchwarzFunction(linear(8))):
+            assert [k for k, _ in rep.per_index] == list(range(4 * 64))
+        for rep in schwarz_checks(SchwarzFunction(linear(8)), radii=(0.5,), n_angles=8):
+            assert len(rep.per_index) == 8
+
+    @pytest.mark.parametrize("radii", [(0.5, 1.0), (0.0,), ()], ids=["one", "zero", "none"])
+    def test_radii_inside_the_disk(self, radii):
+        with pytest.raises(InvalidParameter):
+            schwarz_checks(SchwarzFunction(linear(8)), radii=radii)
+
+    def test_angle_floor(self):
+        with pytest.raises(InvalidParameter):
+            schwarz_checks(SchwarzFunction(linear(8)), radii=(0.5,), n_angles=4)
+
+    def test_radii_in_any_order(self):
+        # the circles are concatenated as given; their order is not checked
+        theta = h_to_schwarz(sample(1, 2, order=16))
+        up = schwarz_checks(theta, radii=(0.3, 0.6))
+        down = schwarz_checks(theta, radii=(0.6, 0.3))
+        for a, b in zip(up, down):
+            assert a.margin == b.margin
+            swapped = b.per_index[64:] + b.per_index[:64]
+            assert [m for _, m in a.per_index] == [m for _, m in swapped]
+
     def test_subordination_witnesses_pass(self):
         # order 256 keeps the truncation tail under the margin threshold
         # inside r = 0.9; the exact margins are nonnegative by subordination
-        grid = ProbeGrid((0.3, 0.6, 0.9), 64)
         for seed in range(10):
             h = sample(seed, seed % 3 + 1, order=256)
-            magnitude, derivative = schwarz_checks(h_to_schwarz(h), grid)
+            magnitude, derivative = schwarz_checks(h_to_schwarz(h), radii=(0.3, 0.6, 0.9))
             assert magnitude.ok and derivative.ok
 
 
@@ -370,14 +395,13 @@ class TestMarginOracle:
             assert rep.ok == (not old < -VIOLATION_EPS)
 
     def test_schwarz_witnesses(self):
-        grid = ProbeGrid.default()
-        zs = grid.points()
+        zs = np.concatenate([circle(r, 64) for r in (0.3, 0.6, 0.9, 0.95)])
         broken = 0
         for seed in range(40):
             theta = h_to_schwarz(sample(seed, seed % 3 + 1, order=(8, 16, 64, 256)[seed % 4])).series
             vals = evaluate_many(theta, zs)
             dvals = evaluate_many(differentiate(theta), zs)
-            reports = schwarz_checks(theta, grid)
+            reports = schwarz_checks(theta)
             for rep, margins in zip(reports, schwarz_margins(zs, vals, dvals)):
                 self.assert_matches(rep, margins, 0)
                 broken += not rep.ok

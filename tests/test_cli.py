@@ -8,7 +8,17 @@ import pytest
 
 from schlicht import circle_values, class_radius, local_univalence_radius, named_function
 from schlicht.probe import circle_angles
-from schlicht.cli import MAX_ANGLES, MAX_ORDER, MAX_SAMPLES, main
+from schlicht.cli import MAX_ANGLES, MAX_ATOMS, MAX_ORDER, MAX_SAMPLES, MAX_STAGES, main
+from schlicht.errors import (
+    DegenerateAtCenter,
+    EvaluationSingularity,
+    InvalidMeasure,
+    InvalidParameter,
+    NotCaratheodoryNormalized,
+    OrderTooLow,
+    SchlichtError,
+    ValidationError,
+)
 
 CLI = [sys.executable, "-m", "schlicht"]
 
@@ -192,6 +202,16 @@ class TestCheck:
         assert abs(float(re) - 2.0) < 1e-9
         assert abs(float(im)) < 1e-12
 
+    @pytest.mark.parametrize("kind, rows", [("injectivity", 512), ("local-univalence", 2048),
+                                            ("starlike", 256)])
+    def test_boundary_csv_at_the_default_angles(self, tmp_path, kind, rows, capsys):
+        # without --angles the CSV has as many rows as the predicate sampled
+        path = tmp_path / "curve.csv"
+        argv = ["check", "--class", kind, "--function", "koebe", "--r", "0.5"]
+        assert main(argv + ["--boundary", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+        assert len(path.read_text().strip().splitlines()) == 1 + rows
+
     @pytest.mark.parametrize("r", [0.3, 0.9])
     def test_boundary_csv_is_the_probed_curve(self, tmp_path, r):
         # the CSV holds the samples the probe decided on, bit for bit
@@ -373,6 +393,30 @@ class TestInputCaps:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"--angles must be at most {MAX_ANGLES}" in out.err
+
+    @pytest.mark.parametrize(
+        "argv, flag, cap",
+        [
+            (["sample", "--atoms"], "--atoms", MAX_ATOMS),
+            (["sample", "--measure", "--atoms"], "--atoms", MAX_ATOMS),
+            (["transform", "iterate", "--alpha", "1", "--n"], "--n", MAX_STAGES),
+            (["transform", "iterate-sigma", "--sigma", "1e9", "--n"], "--n", MAX_STAGES),
+        ],
+        ids=["sample", "sample-measure", "iterate", "iterate-sigma"],
+    )
+    def test_counts_above_cap_exit_two(self, argv, flag, cap, capsys):
+        # checked before stdin is read or any atom is drawn
+        assert main(argv + [str(cap + 1)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"{flag} must be at most {cap}" in out.err
+
+
+def test_exit_two_for_every_validation_error():
+    for exc in (InvalidParameter, OrderTooLow, NotCaratheodoryNormalized, InvalidMeasure):
+        assert issubclass(exc, ValidationError)
+    for exc in (DegenerateAtCenter, EvaluationSingularity):
+        assert issubclass(exc, SchlichtError) and not issubclass(exc, ValidationError)
 
 
 class TestAngleCount:

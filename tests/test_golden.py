@@ -10,12 +10,13 @@ pinned.  COLUMNS is pinned to 80, so --help wraps the same way in any
 terminal.
 
 The expected results live in tests/golden/expected.json.  Regenerate
-them with
+the cases whose output is meant to change with
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write NAME...
 
-only when an output change is intended, and say which bytes changed
-and why.
+which rewrites only the named entries and refuses an unknown name, and
+say which bytes changed and why.  With no names it rewrites every
+entry.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -121,6 +123,11 @@ CASES = [
     ("check-injectivity", ["check", "--class", "injectivity", "--function", "koebe",
                            "--r", "0.9"], "", {}),
     ("check-starlike-stdin", ["check", "--class", "starlike", "--r", "0.5"], THMB16, {}),
+    # local univalence of thmA fails beyond sqrt(2) - 1
+    ("check-local-univalence-r041", ["check", "--class", "local-univalence", "--function", "thmA",
+                                     "--r", "0.41"], "", {}),
+    ("check-local-univalence-r042", ["check", "--class", "local-univalence", "--function", "thmA",
+                                     "--r", "0.42"], "", {}),
     ("check-close-to-convex-no-g", ["check", "--class", "close-to-convex", "--function", "koebe",
                                     "--r", "0.5"], "", {}),
     ("check-function-and-input", ["check", "--class", "starlike", "--function", "koebe",
@@ -140,6 +147,11 @@ CASES = [
                                 "--order", "16", "--g", "{tmp}/g.json"], "", G_FILE),
     ("radius-quasi-convex", ["radius", "quasi-convex", "--function", "koebe",
                              "--order", "16", "--g", "{tmp}/g.json"], "", G_FILE),
+    ("radius-injectivity", ["radius", "injectivity", "--function", "koebe", "--order", "16"],
+     "", {}),
+    # z + 2z^2 is univalent exactly in |z| < 1/4
+    ("radius-injectivity-stdin", ["radius", "injectivity"],
+     json.dumps({"order": 2, "coeffs": [[0, 0], [1, 0], [2, 0]]}), {}),
     ("radius-no-predicate", ["radius", "--function", "koebe"], "", {}),
     ("radius-convex-trace", ["radius", "convex", "--function", "koebe", "--order", "16",
                              "--trace"], "", {}),
@@ -250,16 +262,22 @@ def test_golden(name, argv, stdin, files, expected, tmp_path):
     assert run_case(argv, stdin, files, tmp_path) == expected[name]
 
 
-def write_expected() -> None:
-    results = {}
+def write_expected(names: Sequence[str] = ()) -> None:
+    """Rewrite the expected results of the named cases, or of every case
+    when no name is given; the other entries keep their bytes."""
+    unknown = set(names) - {case[0] for case in CASES}
+    if unknown:
+        sys.exit(f"unknown case: {', '.join(sorted(unknown))}")
+    results = json.loads(EXPECTED.read_text(encoding="utf-8")) if names else {}
     for name, argv, stdin, files in CASES:
-        with tempfile.TemporaryDirectory() as tmp:
-            results[name] = run_case(argv, stdin, files, Path(tmp))
+        if name in names or not names:
+            with tempfile.TemporaryDirectory() as tmp:
+                results[name] = run_case(argv, stdin, files, Path(tmp))
     EXPECTED.parent.mkdir(exist_ok=True)
     EXPECTED.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    write_expected()
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write [NAME...]")
+    write_expected(sys.argv[2:])

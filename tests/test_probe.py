@@ -6,7 +6,6 @@ import pytest
 
 from schlicht import (
     Dilation,
-    ProbeGrid,
     RadiusResult,
     alexander_inverse,
     apply,
@@ -33,6 +32,7 @@ from schlicht.errors import (
 from schlicht.probe import (
     CLASS_KINDS,
     INNER_RADIUS,
+    PREDICATE_KINDS,
     POSITIVITY_EPS,
     RADIUS_CAP,
     _circle_sampler,
@@ -41,6 +41,8 @@ from schlicht.probe import (
     _winding_number,
     circle,
     circle_angles,
+    encloses_zero,
+    predicate_angles,
 )
 from schlicht.series import (
     TruncatedSeries,
@@ -63,25 +65,6 @@ from oracles import (
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 CONVEXITY_RADIUS = 2.0 - math.sqrt(3.0)
-
-
-class TestProbeGrid:
-    def test_default_shape(self):
-        grid = ProbeGrid.default()
-        assert grid.radii == (0.3, 0.6, 0.9, 0.95)
-        assert len(grid.points()) == 4 * 64
-
-    def test_radii_must_increase(self):
-        with pytest.raises(InvalidParameter):
-            ProbeGrid((0.5, 0.3))
-
-    def test_radii_must_be_interior(self):
-        with pytest.raises(InvalidParameter):
-            ProbeGrid((0.5, 1.0))
-
-    def test_angle_floor(self):
-        with pytest.raises(InvalidParameter):
-            ProbeGrid((0.5,), 4)
 
 
 class TestCircle:
@@ -278,6 +261,52 @@ class TestInjectivity:
         for n_angles in (4097, 5000):
             with pytest.raises(InvalidParameter):
                 injectivity_probe(koebe(8), 0.5, n_angles=n_angles)
+
+
+class TestPredicateTable:
+    """check and radius share one table of predicate kinds; the entry
+    points of local univalence and injectivity are calls into it."""
+
+    def test_default_angles(self):
+        assert PREDICATE_KINDS[:6] == CLASS_KINDS
+        assert [predicate_angles(k) for k in PREDICATE_KINDS] == [256] * 6 + [2048, 512]
+        assert predicate_angles("local-univalence", 64) == 64
+
+    def test_entry_points_match_the_table(self):
+        nf = named_function("thmA", 64)
+        for r in (0.3, 0.41, 0.42, 0.6):
+            assert class_predicate("injectivity", nf, r) == injectivity_probe(nf, r)
+            assert class_predicate("injectivity", nf, r, 512) == injectivity_probe(nf, r)
+        assert class_radius("local-univalence", nf) == local_univalence_radius(nf)
+        assert class_radius("local_univalence", nf, n_angles=64) == local_univalence_radius(
+            nf, n_angles=64
+        )
+
+    def test_local_univalence_at_one_radius(self):
+        nf = named_function("thmA", 64)
+        assert class_predicate("local_univalence", nf, 0.41)
+        assert not class_predicate("local_univalence", nf, 0.42)
+
+    def test_radius_of_univalence(self):
+        # z + 2 z^2 folds over once |z| passes the zero of f' at -1/4
+        res = class_radius("injectivity", TruncatedSeries([0.0, 1.0, 2.0]))
+        assert res.predicate_name == "injectivity" and not res.capped
+        assert res.hi - res.lo <= 1e-6
+        assert abs(res.lo - 0.25) < 1e-4
+        assert class_radius("injectivity", identity(8)).capped
+
+
+class TestEnclosesZero:
+    def test_winding_around_zero(self):
+        assert encloses_zero(circle(0.6, 64) - 0.5, 1e-9)
+        assert not encloses_zero(circle(0.4, 64) - 0.5, 1e-9)
+
+    def test_passing_within_eps(self):
+        # 0 lies 1e-12 outside this loop, next to its sample at theta = 0
+        touching = circle(0.5, 64) - 0.5 - 1e-12
+        assert _winding_number(touching) == 0
+        assert encloses_zero(touching, 1e-9)
+        assert not encloses_zero(touching, 1e-13)
 
 
 class TestInclusionChains:

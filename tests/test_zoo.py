@@ -250,6 +250,13 @@ class TestReportSuite:
         got = json.dumps(report_suite(seed, 150 + seed, order), sort_keys=True)
         assert got == json.dumps(report_per_sample(seed, 150 + seed, order), sort_keys=True)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_modulus_for_one_quantity(self, seed):
+        # ratio_positive's a_k is c_{k-1}, so its margin 2 - |a_k| is
+        # coefficient_bound's 2 - |c_k|, and must print the same
+        checks = report_suite(seed, 100, 32)["checks"]
+        assert checks["ratio_positive"] == checks["coefficient_bound"]
+
     @pytest.mark.parametrize("block", [1, 40, 100, 2**16])
     def test_every_sample_counted_once_whatever_the_block(self, block, monkeypatch):
         # With eps = -0.5 a sample violates a check when its worst margin
