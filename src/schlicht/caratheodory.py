@@ -91,20 +91,9 @@ class HerglotzMeasure:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise InvalidMeasure("measure needs at least one atom")
-        cleaned = []
-        total = 0.0
-        for t, mu in self.atoms:
-            t = float(t)
-            mu = float(mu)
-            if not (math.isfinite(t) and math.isfinite(mu)):
-                raise InvalidMeasure("atoms must be finite")
-            if mu < 0:
-                raise InvalidMeasure("weights must be nonnegative")
-            total += mu
-            cleaned.append((t % (2 * math.pi), mu))
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidMeasure("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "atoms", tuple(cleaned))
+        angles, weights = np.array([(float(t), float(mu)) for t, mu in self.atoms]).T
+        angles = _checked_angles(angles[None], weights[None])[0]
+        object.__setattr__(self, "atoms", tuple(zip(angles.tolist(), weights.tolist())))
 
     @property
     def angles(self) -> np.ndarray:
@@ -113,6 +102,19 @@ class HerglotzMeasure:
     @property
     def weights(self) -> np.ndarray:
         return np.array([mu for _, mu in self.atoms])
+
+
+def _checked_angles(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The angles reduced to [0, 2*pi), after checking that row b of the
+    (batch, atoms) arrays is a measure: finite atoms, nonnegative weights
+    that sum to 1 within 1e-12 (summed left to right, as a loop would)."""
+    if not (np.isfinite(angles).all() and np.isfinite(weights).all()):
+        raise InvalidMeasure("atoms must be finite")
+    if (weights < 0).any():
+        raise InvalidMeasure("weights must be nonnegative")
+    if (np.abs(np.cumsum(weights, axis=1)[:, -1] - 1.0) > 1e-12).any():
+        raise InvalidMeasure("weights must sum to 1 within 1e-12")
+    return np.mod(angles, 2 * np.pi)
 
 
 def measure_to_dict(m: HerglotzMeasure) -> dict:
@@ -317,29 +319,36 @@ def sample_measure(rng_seed: int, n_atoms: int) -> HerglotzMeasure:
     """Deterministic random measure: angles uniform on [0, 2*pi),
     weights from the flat simplex via sorted-uniform spacings.  A single
     64-bit seed drives both draws (angles first, then weights)."""
-    require_count(n_atoms, "n_atoms", positive=True)
-    rng = np.random.default_rng(require_count(rng_seed, "seed"))
-    angles = rng.uniform(0.0, 2 * np.pi, n_atoms)
-    if n_atoms == 1:
-        weights = np.ones(1)
-    else:
-        cuts = np.sort(rng.uniform(0.0, 1.0, n_atoms - 1))
-        weights = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
-    return HerglotzMeasure(tuple(zip(map(float, angles), map(float, weights))))
+    angles, weights = _draw_measures([require_count(rng_seed, "seed")], n_atoms)
+    return HerglotzMeasure(tuple(zip(angles[0].tolist(), weights[0].tolist())))
 
 
 def sample(rng_seed: int, n_atoms: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series of a random positive-real-part function; see sample_measure."""
-    return herglotz_to_series(sample_measure(rng_seed, n_atoms), order)
+    seeds = [require_count(rng_seed, "seed")]
+    return TruncatedSeries(_sample_rows(seeds, n_atoms, require_count(order, "order"))[0])
+
+
+def _draw_measures(rng_seeds, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and weights, each of shape (batch, n_atoms), of the measure
+    sample_measure draws from each seed.  Every seed gets its own
+    generator and one draw of 2 n_atoms - 1 uniforms on [0, 1): first
+    the angles over 2*pi (the bits of uniform(0, 2*pi)), then the cuts
+    whose sorted spacings are the weights."""
+    require_count(n_atoms, "n_atoms", positive=True)
+    u = np.empty((len(rng_seeds), 2 * n_atoms - 1))
+    for row, s in zip(u, rng_seeds):
+        row[:] = np.random.default_rng(int(s)).random(2 * n_atoms - 1)
+    edges = np.zeros((len(u), n_atoms + 1))
+    edges[:, 1:-1] = np.sort(u[:, n_atoms:], axis=1)
+    edges[:, -1] = 1.0
+    weights = np.diff(edges, axis=1)
+    return _checked_angles(2 * np.pi * u[:, :n_atoms], weights), weights
 
 
 def _sample_rows(rng_seeds, n_atoms: int, order: int) -> np.ndarray:
     """Row b holds the coefficients of sample(rng_seeds[b], n_atoms, order)."""
-    measures = [sample_measure(int(s), n_atoms) for s in rng_seeds]
-    shape = (len(measures), n_atoms)
-    angles = np.array([m.angles for m in measures]).reshape(shape)
-    weights = np.array([m.weights for m in measures]).reshape(shape)
-    return _herglotz_rows(angles, weights, order)
+    return _herglotz_rows(*_draw_measures(rng_seeds, n_atoms), order)
 
 
 def check_coefficient_bound(h: TruncatedSeries) -> MarginReport:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -290,7 +291,10 @@ def _add_function_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process.  Parsing keeps
+    no state in it, and --help reads COLUMNS when it prints."""
     parser = argparse.ArgumentParser(
         prog="schlicht",
         description="normalized univalent functions as truncated power series",

@@ -9,6 +9,8 @@ loop cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -156,6 +158,21 @@ def random_normalized_coeffs(rng: np.random.Generator, order: int, scale: float 
     return c
 
 
+def seeded_measure(rng_seed: int, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(angles, weights) of schlicht.sample_measure as it drew one measure
+    per call before it drew blocks of measures into arrays: a generator
+    per seed, n_atoms uniform angles, then n_atoms - 1 sorted uniform cuts
+    whose spacings are the weights; angles reduced mod 2*pi one by one,
+    as HerglotzMeasure then did."""
+    rng = np.random.default_rng(int(rng_seed))
+    angles = rng.uniform(0.0, 2 * np.pi, n_atoms)
+    if n_atoms == 1:
+        weights = np.ones(1)
+    else:
+        cuts = np.sort(rng.uniform(0.0, 1.0, n_atoms - 1))
+        weights = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
+    return np.array([float(t) % (2 * math.pi) for t in angles]), weights
+
 
 def herglotz_coeffs(angles, weights, order: int) -> np.ndarray:
     """c_0 = 1 and c_k = 2 sum_j mu_j exp(-i k t_j), one measure at a time."""
@@ -198,10 +215,10 @@ def report_per_sample(seed: int, n_samples: int, order: int = 32, eps: float | N
     """The report sweep one sample at a time with the per-series loops:
     what schlicht.report_suite computed before it ran every recurrence
     once per block of samples, kept to pin that its bytes did not change.
-    The measures come from the library's seeded sampler; series,
-    constructors and margins are computed here.  A sample violates a
-    check when its worst margin lies below -eps (default VIOLATION_EPS)."""
-    from schlicht.caratheodory import VIOLATION_EPS, sample_measure
+    Measures, series, constructors and margins are all computed here.  A
+    sample violates a check when its worst margin lies below -eps
+    (default VIOLATION_EPS)."""
+    from schlicht.caratheodory import VIOLATION_EPS
 
     eps = VIOLATION_EPS if eps is None else eps
     names = (
@@ -228,8 +245,7 @@ def report_per_sample(seed: int, n_samples: int, order: int = 32, eps: float | N
 
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
     for i in range(n_samples):
-        m = sample_measure(int(child_seeds[i]), i % 8 + 1)
-        c = herglotz_coeffs(m.angles, m.weights, order)
+        c = herglotz_coeffs(*seeded_measure(child_seeds[i], i % 8 + 1), order)
         n = len(c)
         record("coefficient_bound", min(float(2.0 - abs(c[k])) for k in range(1, n)))
         c1, c2 = complex(c[1]), complex(c[2])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schlicht import (
     HerglotzMeasure,
@@ -24,7 +26,13 @@ from schlicht import (
     schwarz_checks,
     schwarz_to_h,
 )
-from schlicht.caratheodory import VIOLATION_EPS, measure_from_dict, measure_to_dict
+from schlicht.caratheodory import (
+    VIOLATION_EPS,
+    _draw_measures,
+    _sample_rows,
+    measure_from_dict,
+    measure_to_dict,
+)
 from schlicht.errors import (
     InvalidMeasure,
     InvalidParameter,
@@ -34,7 +42,13 @@ from schlicht.errors import (
 from schlicht.probe import circle
 from schlicht.series import constant, differentiate
 
-from oracles import coefficient_margins, pommerenke_margin, schwarz_margins
+from oracles import (
+    coefficient_margins,
+    herglotz_coeffs,
+    pommerenke_margin,
+    schwarz_margins,
+    seeded_measure,
+)
 
 
 def linear(order: int) -> TruncatedSeries:
@@ -234,7 +248,32 @@ class TestPreserve:
             preserve("rotate", TruncatedSeries([2.0, 1.0]), 0.5)
 
 
+#: 64-bit seeds with the ends of their range drawn often.
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
 class TestSampling:
+    # sample_measure, sample and the report's blocks all come from one
+    # drawer; each must give the bits of the per-call sampler it replaced
+    @given(st.lists(SEEDS, min_size=1, max_size=6), st.integers(1, 8), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_and_single_draws_match_the_oracle(self, seeds, atoms, order):
+        angles, weights = _draw_measures(seeds, atoms)
+        rows = _sample_rows(np.array(seeds, dtype=np.uint64), atoms, order)
+        for i, s in enumerate(seeds):
+            want_angles, want_weights = seeded_measure(s, atoms)
+            got = sample_measure(s, atoms)
+            coeffs = herglotz_coeffs(want_angles, want_weights, order)
+            for a, b in (
+                (got.angles, want_angles),
+                (got.weights, want_weights),
+                (angles[i], want_angles),
+                (weights[i], want_weights),
+                (rows[i], coeffs),
+                (sample(s, atoms, order).coeffs, coeffs),
+            ):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_single_atom_has_extremal_coefficients(self):
         for seed in (0, 7, 123):
             h = sample(seed, 1, order=32)

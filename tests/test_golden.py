@@ -209,11 +209,11 @@ CASES = [
 WRITTEN = ("curve.csv",)
 
 
-def invoke(argv: list, stdin: str = "") -> tuple[int, str]:
+def invoke(argv: list, stdin: str = "", columns: int = 80) -> tuple[int, str]:
     """Exit code and stdout of schlicht.cli.main(argv), in this process."""
     out = io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
-            mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            mock.patch.dict(os.environ, {"COLUMNS": str(columns)}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
@@ -260,6 +260,39 @@ def test_corpus_matches_expected_cases(expected):
 @pytest.mark.parametrize("name, argv, stdin, files", CASES, ids=[c[0] for c in CASES])
 def test_golden(name, argv, stdin, files, expected, tmp_path):
     assert run_case(argv, stdin, files, tmp_path) == expected[name]
+
+
+class TestParserKeepsNoState:
+    # main parses with one parser per process, so no call may leave
+    # anything behind that the next call sees
+    CASE = {case[0]: case for case in CASES}
+
+    def run(self, name: str, tmp: Path) -> dict:
+        return run_case(*self.CASE[name][1:], tmp)
+
+    def test_trace_is_not_kept(self, expected, tmp_path):
+        argv = self.CASE["radius-convex-trace"][1]
+        assert self.run("radius-convex-trace", tmp_path) == expected["radius-convex-trace"]
+        code, stdout = invoke([a for a in argv if a != "--trace"])
+        traced = json.loads(expected["radius-convex-trace"]["stdout"])
+        del traced["trace"], traced["monotone"]
+        assert code == 0 and json.loads(stdout) == traced
+
+    @pytest.mark.parametrize(
+        "failing", ["unknown-verb", "build-unknown-tag", "transform-unknown-kind", "sample-no-atoms",
+                    "radius-no-predicate", "report-order-too-low"]
+    )
+    def test_exit_two_leaves_nothing(self, failing, expected, tmp_path):
+        assert self.run(failing, tmp_path)["exit"] == 2
+        for name in ("sample-series", "report-small", "radius-convex-trace"):
+            assert self.run(name, tmp_path) == expected[name]
+
+    @pytest.mark.parametrize("name", ["help", "transform-help", "functional-help"])
+    def test_help_rewraps_to_the_columns_of_each_call(self, name, expected):
+        argv = self.CASE[name][1]
+        code, wide = invoke(argv, columns=120)
+        assert code == 0 and wide != expected[name]["stdout"]
+        assert invoke(argv) == (0, expected[name]["stdout"])
 
 
 def write_expected(names: Sequence[str] = ()) -> None:
