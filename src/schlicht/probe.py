@@ -12,14 +12,17 @@ the kinds and how many angles each samples by default.
 
 Every probe sees a function on the same equispaced circle |z| = r,
 r in (0, 1), at 8 or more angles, through one kernel, circle_values.
-It prefers a carried closed form over the truncated series; a series
+It reads a truncated series, or a named function's closed forms for F
+and F' and its series otherwise; anything else is refused.  A series
 is summed on the circle by one inverse DFT of its scaled coefficients.
 A radius solve builds its sampler once (_circle_sampler: derivative
 coefficients, exponents, unit roots) and only rescales at each step.
 
-The injectivity probe visits no more pairs than it must: near samples
-among neighbours in order of real part, crossings by a sweep over the
-segments' bounding boxes in bounded chunks.
+Injectivity needs f' free of zeros inside the circle and a simple
+polyline through the samples (_polyline_injective), which visits no
+more pairs than it must: near samples among neighbours in order of
+real part, crossings by a sweep over the segments' bounding boxes in
+bounded chunks.
 """
 
 from __future__ import annotations
@@ -82,11 +85,10 @@ _CLOSED_FORMS = ("closed_form", "closed_form_derivative")
 def circle_values(F, r: float, n_angles: int, derivative: int = 0) -> np.ndarray:
     """Values of F, F' or F'' (derivative 0, 1 or 2) at circle(r, n_angles).
 
-    Precedence: the closed form (closed_form_derivative for F') that a
-    named function carries, then the series (F itself or F.series),
-    then, for F only, a plain callable, which is called point by point
-    if it does not take arrays.  Closed forms matter near |z| = 1, where
-    a truncation's tail swamps the value.
+    F is a truncated series or an object whose .series is one.  The
+    closed form (closed_form_derivative for F') that such an object
+    carries takes precedence over its series: closed forms matter near
+    |z| = 1, where a truncation's tail swamps the value.
 
     A series is summed by one inverse DFT: at theta_j = 2 pi j/n,
     F^(d)(r e^{i theta_j}) = sum_k a_k r^k e^{2 pi i jk/n} with a_k =
@@ -94,6 +96,14 @@ def circle_values(F, r: float, n_angles: int, derivative: int = 0) -> np.ndarray
     phase, so the a_k r^k are folded mod n before the transform.
     """
     return _circle_sampler(F, n_angles, derivative)(r)
+
+
+def _as_series(f) -> TruncatedSeries:
+    """f when it is a truncated series, else f.series when that is one."""
+    ser = getattr(f, "series", f)
+    if not isinstance(ser, TruncatedSeries):
+        raise InvalidParameter("expected a truncated series or named function")
+    return ser
 
 
 def _circle_sampler(F, n_angles: int, derivative: int = 0) -> Callable[[float], np.ndarray]:
@@ -106,39 +116,31 @@ def _circle_sampler(F, n_angles: int, derivative: int = 0) -> Callable[[float], 
     """
     if derivative not in (0, 1, 2):
         raise InvalidParameter("derivative must be 0, 1 or 2")
+    ser = _as_series(F)
     cf = getattr(F, _CLOSED_FORMS[derivative], None) if derivative < 2 else None
-    ser = getattr(F, "series", F)
-    if cf is None and isinstance(ser, TruncatedSeries):
-        _require_angles(n_angles)
-        a = ser.coeffs
-        for _ in range(derivative):
-            a = np.arange(1, len(a)) * a[1:]
-        k = np.arange(len(a))
-        fold = (0, -len(a) % n_angles) if len(a) > n_angles else None
+    if cf is not None:
+        unit = _unit_circle(n_angles)
 
-        def series_values(r: float) -> np.ndarray:
+        def closed_form_values(r: float) -> np.ndarray:
             _require_radius(r)
-            b = a * r**k
-            if fold is not None:
-                b = np.pad(b, fold).reshape(-1, n_angles).sum(axis=0)
-            return np.fft.ifft(b, n_angles, norm="forward")
+            return np.asarray(cf(r * unit), dtype=complex)
 
-        return series_values
-    if cf is None and not (callable(F) and derivative == 0):
-        raise InvalidParameter("expected a truncated series or named function")
-    unit = _unit_circle(n_angles)
+        return closed_form_values
+    _require_angles(n_angles)
+    a = ser.coeffs
+    for _ in range(derivative):
+        a = np.arange(1, len(a)) * a[1:]
+    k = np.arange(len(a))
+    fold = (0, -len(a) % n_angles) if len(a) > n_angles else None
 
-    def point_values(r: float) -> np.ndarray:
+    def series_values(r: float) -> np.ndarray:
         _require_radius(r)
-        zs = r * unit
-        if cf is not None:
-            return np.asarray(cf(zs), dtype=complex)
-        try:
-            return np.asarray(F(zs), dtype=complex)
-        except (TypeError, ValueError):
-            return np.array([complex(F(z)) for z in zs])
+        b = a * r**k
+        if fold is not None:
+            b = np.pad(b, fold).reshape(-1, n_angles).sum(axis=0)
+        return np.fft.ifft(b, n_angles, norm="forward")
 
-    return point_values
+    return series_values
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,6 @@ class RadiusResult:
         }
 
 
-def _as_series(f) -> TruncatedSeries:
-    obj = getattr(f, "series", f)
-    if not isinstance(obj, TruncatedSeries):
-        raise InvalidParameter("expected a truncated series or named function")
-    return obj
-
-
 def min_real_part(F, r: float, n_angles: int = 256) -> float:
     """Minimum of Re F over n_angles equispaced points on |z| = r.
 
@@ -211,8 +206,9 @@ CLASS_KINDS = (
 
 #: Every predicate on |z| = r: the classes, whose defining quantity must
 #: have positive real part, then f' free of zeros inside the circle and
-#: f injective on it.  Both are monotone in r (Darboux), so a radius
-#: solve on "injectivity" brackets the radius of univalence.
+#: f injective on it (which implies the former).  Both are monotone in r
+#: (Darboux), so a radius solve on "injectivity" brackets the radius of
+#: univalence.
 PREDICATE_KINDS = CLASS_KINDS + ("local_univalence", "injectivity")
 
 #: Angles sampled when none are given, where it is not 256.
@@ -270,22 +266,28 @@ def _holds(kind: str, f, n_angles: int | None, g) -> Callable[[float], bool]:
     if kind not in PREDICATE_KINDS:
         raise InvalidParameter(f"unknown predicate kind: {kind!r}")
     n_angles = predicate_angles(kind, n_angles)
-    if kind == "local_univalence":
+    if kind == "injectivity" and n_angles > 4096:
+        raise InvalidParameter("n_angles must lie in [8, 4096]")
+    if kind in ("local_univalence", "injectivity"):
         f_prime = _circle_sampler(f, n_angles, 1)
-        return lambda r: not encloses_zero(f_prime(r), POSITIVITY_EPS)
-    if kind == "injectivity":
-        if n_angles > 4096:
-            raise InvalidParameter("n_angles must lie in [8, 4096]")
+
+        def zero_free(r: float) -> bool:
+            return not encloses_zero(f_prime(r), POSITIVITY_EPS)
+
+        if kind == "local_univalence":
+            return zero_free
         values = _circle_sampler(f, n_angles)
     else:
         values = _class_quantity(kind, f, n_angles, g)
 
     def holds(r: float) -> bool:
+        if kind == "injectivity" and not zero_free(r):
+            return False
         w = values(r)
         if not np.all(np.isfinite(w)):
             raise EvaluationSingularity(f"{kind} sample non-finite: a pole on the circle")
         if kind == "injectivity":
-            return not (_has_near_pair(w) or _has_proper_crossing(w, np.roll(w, -1)))
+            return _polyline_injective(w)
         return float(np.min(w.real)) > POSITIVITY_EPS
 
     return holds
@@ -410,11 +412,12 @@ def encloses_zero(values: np.ndarray, eps: float) -> bool:
     return float(np.min(np.abs(values))) <= eps or _winding_number(values) != 0
 
 
-def local_univalence_radius(f, tol: float = 1e-6, n_angles: int = 2048) -> RadiusResult:
+def local_univalence_radius(f, tol: float = 1e-6, n_angles: int | None = None) -> RadiusResult:
     """Bracket the largest disk on which f' has no zero: on the circle
     f' must stay beyond POSITIVITY_EPS from 0 and not wind around it
     (encloses_zero), which is monotone in r.  A capped result means no
-    zero of f' was found up to RADIUS_CAP."""
+    zero of f' was found up to RADIUS_CAP.  n_angles None samples
+    predicate_angles("local_univalence")."""
     return class_radius("local_univalence", f, tol=tol, n_angles=n_angles)
 
 
@@ -491,14 +494,10 @@ def _has_proper_crossing(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def injectivity_probe(f, r: float, n_angles: int = 512) -> bool:
-    """Probe whether f looks injective on |z| = r.
-
-    Samples the boundary image, requires all samples pairwise distinct
-    beyond 1e-9, and looks for transversal self-crossings of the closed
-    polyline.  Returns False on the first failure.  This is a
-    refutation device: True only means no self-contact was detected at
-    this resolution.
+def _polyline_injective(w: np.ndarray) -> bool:
+    """Whether the closed polyline through the samples w is simple: all
+    samples pairwise distinct beyond 1e-9 and no transversal
+    self-crossing.
 
     Neither test visits all n^2 pairs: near pairs are looked for among
     neighbours in order of real part (_has_near_pair), crossings only
@@ -509,5 +508,18 @@ def injectivity_probe(f, r: float, n_angles: int = 512) -> bool:
     curve that crosses each vertical line a few times, up to n^2 / 2 on
     one whose segments all span one x-range.  Memory is
     O(n + _SWEEP_CHUNK) either way.
+    """
+    return not (_has_near_pair(w) or _has_proper_crossing(w, np.roll(w, -1)))
+
+
+def injectivity_probe(f, r: float, n_angles: int | None = None) -> bool:
+    """Probe whether f looks injective on |z| = r.
+
+    Requires f' free of zeros inside the circle, as local univalence
+    samples it, then a simple polyline through the sampled boundary
+    image (_polyline_injective).  Returns False on the first failure.
+    This is a refutation device: True only means no self-contact was
+    detected at this resolution.  n_angles None samples
+    predicate_angles("injectivity").
     """
     return class_predicate("injectivity", f, r, n_angles)

@@ -19,7 +19,6 @@ from .caratheodory import (
     _modulus,
     _pommerenke_terms,
     _sample_rows,
-    pommerenke_extremal,
     require_caratheodory,
 )
 from .errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
@@ -96,12 +95,12 @@ def turning_extremal(order: int = DEFAULT_ORDER) -> NormalizedSeries:
 @dataclass(frozen=True)
 class NamedFunction:
     """A stock function: stable tag, truncated series, and closed forms
-    for evaluation and (where useful) the derivative."""
+    of the function and its derivative."""
 
     tag: str
     series: TruncatedSeries
-    closed_form: Callable[[complex], complex] | None = None
-    closed_form_derivative: Callable[[complex], complex] | None = None
+    closed_form: Callable[[complex], complex]
+    closed_form_derivative: Callable[[complex], complex]
 
 
 def _one_like(z):
@@ -138,32 +137,8 @@ STOCK_FUNCTIONS: dict[str, tuple] = {
     ),
 }
 
-#: Tags accepted by named_function; the CLI offers STOCK_FUNCTIONS only.
-NAMED_TAGS = tuple(STOCK_FUNCTIONS) + ("pommerenke",)
-
-
-def named_function(
-    tag: str,
-    order: int = DEFAULT_ORDER,
-    c1: complex | None = None,
-    eps: complex | None = None,
-) -> NamedFunction:
-    """Look up a stock function by tag.
-
-    The "pommerenke" tag needs the extremal parameters c1 and eps; the
-    other tags take only the truncation order.
-    """
-    if tag == "pommerenke":
-        if c1 is None or eps is None:
-            raise InvalidParameter("pommerenke tag needs c1 and eps")
-        ser = pommerenke_extremal(c1, eps, order)
-        half_sum = (c1 + eps * np.conj(c1)) / 2
-        half_diff = (c1 - eps * np.conj(c1)) / 2
-
-        def cf(z, _p=half_sum, _m=half_diff, _e=eps):
-            return (1 + _p * z + _e * z**2) / (1 - _m * z - _e * z**2)
-
-        return NamedFunction(tag, ser, cf, None)
+def named_function(tag: str, order: int = DEFAULT_ORDER) -> NamedFunction:
+    """The stock function STOCK_FUNCTIONS[tag], truncated at order."""
     try:
         builder, cf, dcf = STOCK_FUNCTIONS[tag]
     except KeyError:

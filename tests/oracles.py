@@ -393,23 +393,19 @@ def per_call_circle_values(F, r: float, n: int, derivative: int = 0) -> np.ndarr
     """F, F' or F'' on |z| = r at the angles 2 pi k/n, everything rebuilt
     on each call: the closed form on the points, else the series'
     derivative coefficients scaled by r^k, folded mod n and summed by
-    one inverse DFT, else a plain callable (for F only)."""
+    one inverse DFT."""
     names = ("closed_form", "closed_form_derivative")
     cf = getattr(F, names[derivative], None) if derivative < 2 else None
-    zs = r * np.exp(1j * (2 * np.pi * np.arange(n) / n))
     if cf is not None:
+        zs = r * np.exp(1j * (2 * np.pi * np.arange(n) / n))
         return np.asarray(cf(zs), dtype=complex)
-    ser = getattr(F, "series", F)
-    if hasattr(ser, "coeffs"):
-        a = ser.coeffs
-        for _ in range(derivative):
-            a = np.arange(1, len(a)) * a[1:]
-        a = a * r ** np.arange(len(a))
-        if len(a) > n:
-            a = np.pad(a, (0, -len(a) % n)).reshape(-1, n).sum(axis=0)
-        return np.fft.ifft(a, n, norm="forward")
-    assert derivative == 0
-    return np.asarray(F(zs), dtype=complex)
+    a = getattr(F, "series", F).coeffs
+    for _ in range(derivative):
+        a = np.arange(1, len(a)) * a[1:]
+    a = a * r ** np.arange(len(a))
+    if len(a) > n:
+        a = np.pad(a, (0, -len(a) % n)).reshape(-1, n).sum(axis=0)
+    return np.fft.ifft(a, n, norm="forward")
 
 
 def per_call_class_quantity(kind: str, f, r: float, n: int, g=None) -> np.ndarray:

@@ -340,6 +340,18 @@ class TestPommerenkeExtremal:
         want[0] = 1.0
         assert np.max(np.abs(got - want)) < 1e-10
 
+    def test_closed_form(self, rng):
+        # (1 + p z + eps z^2)/(1 - m z - eps z^2), p, m = (c1 +- eps conj(c1))/2
+        zs = 0.4 * np.exp(2j * np.pi * np.arange(16) / 16)
+        for c1, eps in [(1.0, 1.0)] + [
+            (rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
+             np.exp(1j * rng.uniform(0, 2 * np.pi))) for _ in range(5)
+        ]:
+            p, m = (c1 + eps * np.conj(c1)) / 2, (c1 - eps * np.conj(c1)) / 2
+            want = (1 + p * zs + eps * zs**2) / (1 - m * zs - eps * zs**2)
+            got = evaluate_many(pommerenke_extremal(c1, eps, order=32), zs)
+            assert np.max(np.abs(got - want)) < 1e-8
+
     def test_first_coefficient_matches(self, rng):
         for _ in range(20):
             c1 = (rng.uniform(0, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi))

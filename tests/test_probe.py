@@ -6,12 +6,14 @@ import pytest
 
 from schlicht import (
     Dilation,
+    NamedFunction,
     RadiusResult,
     alexander_inverse,
     apply,
     circle_values,
     class_predicate,
     class_radius,
+    convex_extremal,
     from_starlike,
     identity,
     injectivity_probe,
@@ -38,6 +40,7 @@ from schlicht.probe import (
     _circle_sampler,
     _class_quantity,
     _has_proper_crossing,
+    _polyline_injective,
     _winding_number,
     circle,
     circle_angles,
@@ -91,8 +94,11 @@ class TestMinRealPart:
             assert min_real_part(constant(1.0, 16), r) == 1.0
 
     def test_turning_derivative_near_boundary(self):
+        # thmB's derivative (1+z)/(1-z), read from its closed form
         nf = named_function("thmB", 8)
-        got = min_real_part(lambda zs: nf.closed_form_derivative(zs), 0.999)
+        f_prime = NamedFunction("thmB'", differentiate(nf.series), nf.closed_form_derivative,
+                                lambda z: 2 / (1 - z) ** 2)
+        got = min_real_part(f_prime, 0.999)
         want = (1.0 - 0.999) / (1.0 + 0.999)
         assert 0.0 < got < 1e-3
         assert abs(got - want) < 1e-6
@@ -100,7 +106,7 @@ class TestMinRealPart:
     def test_pole_raises(self):
         bad = lambda zs: np.where(np.isclose(zs, 0.3), np.inf + 0j, 1.0 + 0j)
         with pytest.raises(EvaluationSingularity):
-            min_real_part(bad, 0.3)
+            min_real_part(NamedFunction("pole", constant(1.0, 8), bad, bad), 0.3)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParameter):
@@ -362,13 +368,14 @@ class TestCircleValues:
                                                                         circle(0.5, 64)))
 
     def test_plain_callable(self):
-        zs = circle(0.5, 16)
-        assert np.array_equal(circle_values(lambda z: z * z, 0.5, 16), zs * zs)
-        # a callable that refuses arrays is called point by point
-        scalar = lambda z: complex(z) ** 2
-        assert np.array_equal(circle_values(scalar, 0.5, 16), np.array([z ** 2 for z in zs]))
-        with pytest.raises(InvalidParameter):
-            circle_values(lambda z: z, 0.5, 16, derivative=1)
+        # a probe reads a series or a named function's closed forms, not a callable
+        square = lambda z: z * z
+        for probe in (lambda: circle_values(square, 0.5, 16),
+                      lambda: min_real_part(square, 0.5),
+                      lambda: class_predicate("ratio_positive", square, 0.5),
+                      lambda: class_radius("ratio_positive", square)):
+            with pytest.raises(InvalidParameter):
+                probe()
 
     @pytest.mark.parametrize(
         "r, n_angles, derivative",
@@ -447,13 +454,6 @@ class TestMonotone:
         assert not res.monotone
 
 
-def _polyline(points):
-    """A plain callable whose samples on any circle of len(points) angles
-    are the given points, in order."""
-    w = np.array(points, dtype=complex)
-    return (lambda z: w), len(w)
-
-
 def _injectivity_cases():
     """(F, r, n_angles) for 1,200 seeded curves, both outcomes included."""
     rng = np.random.default_rng(2024)
@@ -488,14 +488,18 @@ TOUCHING = (-1.1092429679741924 - 1.8261429544130703j, 0.4440595827482592 + 0.11
 
 
 class TestInjectivityOracle:
-    """injectivity_probe decides as the all-pairs tests it replaced
-    (tests/oracles.py) on seeded curves and hand-built polylines."""
+    """injectivity_probe decides as a zero-free f' and the all-pairs
+    tests it replaced (tests/oracles.py) do on seeded curves, and
+    _polyline_injective as the all-pairs tests do on hand-built
+    polylines."""
 
     def test_seeded_curves(self):
         outcomes = []
         for F, r, n_angles in _injectivity_cases():
             got = injectivity_probe(F, r, n_angles)
-            assert got == injective_all_pairs(circle_values(F, r, n_angles)), (F, r, n_angles)
+            want = (not encloses_zero(circle_values(F, r, n_angles, 1), POSITIVITY_EPS)
+                    and injective_all_pairs(circle_values(F, r, n_angles)))
+            assert got == want, (F, r, n_angles)
             outcomes.append(got)
         assert len(outcomes) >= 1200
         assert 300 <= sum(outcomes) <= len(outcomes) - 300
@@ -525,10 +529,9 @@ class TestInjectivityOracle:
              "vertical-tie", "vertical-crossed"],
     )
     def test_hand_built(self, points, expected):
-        F, n_angles = _polyline(points)
-        w = circle_values(F, 0.5, n_angles)
+        w = np.array(points, dtype=complex)
         assert injective_all_pairs(w) is expected
-        assert injectivity_probe(F, 0.5, n_angles) is expected
+        assert _polyline_injective(w) is expected
 
     def test_touching_boxes_are_tested(self):
         # the orientation test runs on every pair whose closed boxes meet,
@@ -542,20 +545,20 @@ class TestInjectivityOracle:
         # so rounding cannot report a crossing between them.  A polygon
         # with a straight side of three segments, its first and third the
         # APART pair, is simple; the all-pairs test calls it non-injective.
-        F, n_angles = _polyline(list(APART) + [1, -1j, -1 - 1.2j, -2.5 - 0.5j])
-        w = circle_values(F, 0.5, n_angles)
+        w = np.array(list(APART) + [1, -1j, -1 - 1.2j, -2.5 - 0.5j])
         assert has_proper_crossing(np.array(APART[0::2]), np.array(APART[1::2]))
         assert not injective_all_pairs(w)
-        assert injectivity_probe(F, 0.5, n_angles)
+        assert _polyline_injective(w)
 
 
 def test_injectivity_memory_is_bounded():
     """Every segment of this zigzag spans the same x-range, so every pair
     of boxes meets in x; the sweep still works in bounded chunks."""
-    zigzag = lambda z: np.cos(2048 * np.angle(z)) + 1j * np.unwrap(np.angle(z))
+    theta = np.angle(circle(0.5, 4096))
+    zigzag = np.cos(2048 * theta) + 1j * np.unwrap(theta)
     tracemalloc.start()
     try:
-        assert not injectivity_probe(zigzag, 0.5, 4096)
+        assert not _polyline_injective(zigzag)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -564,13 +567,16 @@ def test_injectivity_memory_is_bounded():
 
 def _sampler_functions():
     """(label, f, g, n_angles): a series with order + 1 above n_angles
-    (folded), named functions with closed forms, a plain callable."""
+    (folded), stock named functions, and one built by hand (the
+    half-plane map z/(1-z))."""
     g = alexander_inverse(_starlike(7, 200))
+    half_plane = NamedFunction("half-plane", convex_extremal(64), lambda z: z / (1 - z),
+                               lambda z: 1 / (1 - z) ** 2)
     return [
         ("folded", _starlike(3, 200), g, 64),
         ("koebe", named_function("koebe", 64), named_function("koebe", 64), 32),
         ("thmA", named_function("thmA", 64), g, 256),
-        ("callable", lambda z: z / (1 - z) ** 2, None, 64),
+        ("custom", half_plane, g, 64),
     ]
 
 
@@ -583,7 +589,7 @@ class TestSamplers:
     @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
                              ids=[c[0] for c in _sampler_functions()])
     def test_values(self, label, f, g, n_angles):
-        for d in range(3) if label != "callable" else (0,):
+        for d in range(3):
             sampler = _circle_sampler(f, n_angles, d)
             for r in self.RADII:
                 want = per_call_circle_values(f, r, n_angles, d)
@@ -596,20 +602,15 @@ class TestSamplers:
     @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
                              ids=[c[0] for c in _sampler_functions()])
     def test_class_quantities_and_traces(self, label, f, g, n_angles):
-        usable = CLASS_KINDS if label != "callable" else ("ratio_positive",)
         for kind in CLASS_KINDS:
-            if kind not in usable:
-                with pytest.raises(InvalidParameter):
-                    class_radius(kind, f, g=g, n_angles=n_angles)
-                continue
             quantity = _class_quantity(kind, f, n_angles, g)
             res = class_radius(kind, f, g=g, n_angles=n_angles)
             for r, ok in res.trace:
                 assert ok == class_predicate(kind, f, r, n_angles, g), (kind, r)
                 assert np.array_equal(quantity(r), per_call_class_quantity(kind, f, r, n_angles, g))
 
-    @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions()[:3],
-                             ids=[c[0] for c in _sampler_functions()[:3]])
+    @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
+                             ids=[c[0] for c in _sampler_functions()])
     def test_local_univalence_trace(self, label, f, g, n_angles):
         res = local_univalence_radius(f, n_angles=n_angles)
         for r, ok in res.trace:

@@ -32,7 +32,7 @@ from schlicht import (
 from schlicht.caratheodory import _sample_rows, sample_measure
 from schlicht.errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
 from schlicht.series import constant, shift_down
-from schlicht.zoo import NAMED_TAGS, report_suite
+from schlicht.zoo import STOCK_FUNCTIONS, report_suite
 
 
 class TestBuilders:
@@ -90,30 +90,19 @@ class TestNamedFunctions:
         want = np.asarray(nf.closed_form_derivative(zs), dtype=complex)
         assert np.max(np.abs(got - want)) < 1e-6
 
-    def test_pommerenke_tag_requires_parameters(self):
+    def test_pommerenke_is_not_a_tag(self):
+        # the second-coefficient extremal is pommerenke_extremal(c1, eps, order)
         with pytest.raises(InvalidParameter):
             named_function("pommerenke", order=8)
-
-    def test_pommerenke_tag_closed_form(self):
-        nf = named_function("pommerenke", order=32, c1=1.0, eps=1.0)
-        zs = 0.4 * np.exp(2j * np.pi * np.arange(16) / 16)
-        got = evaluate_many(nf.series, zs)
-        want = np.asarray(nf.closed_form(zs), dtype=complex)
-        assert np.max(np.abs(got - want)) < 1e-8
+        with pytest.raises(TypeError):
+            named_function("koebe", 8, 1.0)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(InvalidParameter):
             named_function("lune", order=8)
 
     def test_registry_contents(self):
-        assert set(NAMED_TAGS) == {
-            "koebe",
-            "moebius",
-            "identity",
-            "thmA",
-            "thmB",
-            "pommerenke",
-        }
+        assert set(STOCK_FUNCTIONS) == {"koebe", "moebius", "identity", "thmA", "thmB"}
 
 
 class TestFromRatioPositive:
