@@ -16,8 +16,9 @@ under shell pipes.  Output is serialized with sorted keys so identical
 inputs give identical bytes.
 
 Exit codes: 0 on success, 2 for validation errors (bad flags, malformed
-input, out-of-range parameters), 1 for computation errors (singular
-division, degenerate probes, and other runtime failures).
+input, unreadable or unwritable files, out-of-range parameters), 1 for
+computation errors (singular division, degenerate probes, and other
+runtime failures).
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import re
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .caratheodory import measure_to_dict, sample, sample_measure
@@ -81,11 +84,13 @@ _CAPS = (
 
 
 def _read_series(path: Optional[str]) -> TruncatedSeries:
-    if path is None:
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    """The series JSON on stdin, or in the UTF-8 file a flag names."""
+    try:
+        text = sys.stdin.read() if path is None else Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read {path or 'stdin'}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path or 'stdin'} is not UTF-8 text") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -93,13 +98,19 @@ def _read_series(path: Optional[str]) -> TruncatedSeries:
     return series_from_dict(payload)
 
 
-def _emit(obj: object, path: Optional[str]) -> None:
-    text = json.dumps(obj, sort_keys=True) + "\n"
+def _write_text(text: str, path: Optional[str]) -> None:
+    """text on stdout, or in the UTF-8 file a flag names."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(obj: object, path: Optional[str]) -> None:
+    _write_text(json.dumps(obj, sort_keys=True) + "\n", path)
 
 
 #: Flags whose value is a complex literal.  argparse reads a value such as
@@ -148,11 +159,12 @@ def _resolve_input(args: argparse.Namespace) -> TruncatedSeries:
 def _write_boundary_csv(path: str, f: TruncatedSeries, r: float, n_angles: int) -> None:
     # the curve the probes decide on, sample for sample
     values = circle_values(f, r, n_angles)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "re", "im"])
-        for t, w in zip(circle_angles(n_angles), values):
-            writer.writerow([repr(float(t)), repr(float(w.real)), repr(float(w.imag))])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["theta", "re", "im"])
+    for t, w in zip(circle_angles(n_angles), values):
+        writer.writerow([repr(float(t)), repr(float(w.real)), repr(float(w.imag))])
+    _write_text(buf.getvalue(), path)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -235,9 +247,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_radius(args: argparse.Namespace) -> int:
-    predicate = args.predicate_flag if args.predicate_flag is not None else args.predicate
-    if predicate is None:
+    given = {args.predicate, args.predicate_flag} - {None}
+    if not given:
         raise InvalidParameter("radius needs a predicate (positional or --predicate)")
+    if len(given) > 1:
+        raise InvalidParameter(
+            f"radius got two predicates, {args.predicate} and --predicate {args.predicate_flag}"
+        )
+    (predicate,) = given
     f = _resolve_input(args)
     g = _read_series(args.g) if args.g is not None else None
     result = class_radius(predicate, f, g=g, tol=args.tol, n_angles=args.angles)

@@ -21,13 +21,18 @@ def _coeff(f: TruncatedSeries, k: int) -> complex:
     return complex(f.coeffs[k])
 
 
+def _require_normalized_order(f: TruncatedSeries, order: int) -> None:
+    """Raise unless f is normalized and carries a_order."""
+    require_normalized(f)
+    if f.order < order:
+        raise OrderTooLow(f"need order >= {order}")
+
+
 def fekete_szego(f: TruncatedSeries, alpha: float) -> MarginReport:
     """|a_3 - alpha a_2^2| against the sharp bound
     1 + 2 exp(-2 alpha/(1 - alpha)) on [0, 1], with the alpha = 1
     endpoint taken as its limit value 1."""
-    require_normalized(f)
-    if f.order < 3:
-        raise OrderTooLow("need order >= 3")
+    _require_normalized_order(f, 3)
     if not 0 <= alpha <= 1:
         raise InvalidParameter("alpha must lie in [0, 1]")
     value = abs(_coeff(f, 3) - alpha * _coeff(f, 2) ** 2)
@@ -38,9 +43,7 @@ def fekete_szego(f: TruncatedSeries, alpha: float) -> MarginReport:
 def odd_c5(f: TruncatedSeries) -> complex:
     """Fifth coefficient of the odd square-root transform of f:
     (a_3 - a_2^2/4)/2."""
-    require_normalized(f)
-    if f.order < 3:
-        raise OrderTooLow("need order >= 3")
+    _require_normalized_order(f, 3)
     a2 = _coeff(f, 2)
     a3 = _coeff(f, 3)
     return (a3 - a2**2 / 4.0) / 2.0
@@ -53,12 +56,9 @@ def hankel(f: TruncatedSeries, q: int, n: int) -> complex:
     Needs order >= n + 2(q - 1).  For q <= 3, expansion along the first
     row, summed from 0j in cofactor order; LU factorization beyond.
     """
-    require_normalized(f)
     q = require_count(q, "q", positive=True)
     n = require_count(n, "n", positive=True)
-    need = n + 2 * (q - 1)
-    if f.order < need:
-        raise OrderTooLow(f"need order >= {need}")
+    _require_normalized_order(f, n + 2 * (q - 1))
     idx = n + np.add.outer(np.arange(q), np.arange(q))
     if q >= 4:
         return complex(np.linalg.det(f.coeffs[idx]))
@@ -81,9 +81,7 @@ def bieberbach_check(f: TruncatedSeries) -> MarginReport:
     per-index entries keep the signed overshoot (identity gives -k at
     index k).
     """
-    require_normalized(f)
-    if f.order < 2:
-        raise OrderTooLow("need order >= 2")
+    _require_normalized_order(f, 2)
     ks = np.arange(2, f.order + 1)
     overshoot = np.abs(f.coeffs[2:]) - ks
     value = max(0.0, float(np.max(overshoot)))
@@ -95,9 +93,7 @@ def covering_check(f: TruncatedSeries, xi: complex) -> MarginReport:
 
     Equality at xi = -1/4 picks out the extremal covering situation.
     """
-    require_normalized(f)
-    if f.order < 2:
-        raise OrderTooLow("need order >= 2")
+    _require_normalized_order(f, 2)
     xi = complex(xi)
     if xi == 0:
         raise InvalidParameter("omitted value must be nonzero")

@@ -272,7 +272,7 @@ def _holds(kind: str, f, n_angles: int | None, g) -> Callable[[float], bool]:
         f_prime = _circle_sampler(f, n_angles, 1)
 
         def zero_free(r: float) -> bool:
-            return not encloses_zero(f_prime(r), POSITIVITY_EPS)
+            return not encloses_zero(f_prime(r))
 
         if kind == "local_univalence":
             return zero_free
@@ -405,11 +405,11 @@ def _winding_number(values: np.ndarray) -> int:
     return int(round(float(steps.sum()) / (2 * np.pi)))
 
 
-def encloses_zero(values: np.ndarray, eps: float) -> bool:
-    """Whether the closed loop of samples comes within eps of 0 or winds
-    around it: by the argument principle, whether the function sampled
-    on the circle may have a zero inside."""
-    return float(np.min(np.abs(values))) <= eps or _winding_number(values) != 0
+def encloses_zero(values: np.ndarray) -> bool:
+    """Whether the closed loop of samples comes within POSITIVITY_EPS of
+    0 or winds around it: by the argument principle, whether the
+    function sampled on the circle may have a zero inside."""
+    return float(np.min(np.abs(values))) <= POSITIVITY_EPS or _winding_number(values) != 0
 
 
 def local_univalence_radius(f, tol: float = 1e-6, n_angles: int | None = None) -> RadiusResult:
@@ -421,15 +421,20 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int | None = None) -
     return class_radius("local_univalence", f, tol=tol, n_angles=n_angles)
 
 
-def _has_near_pair(w: np.ndarray, eps: float = 1e-9) -> bool:
-    """Any two samples within eps of each other, |w_i - w_j| <= eps.
+#: Two samples of the boundary image closer than this count as one point.
+_NEAR_PAIR_EPS = 1e-9
+
+
+def _has_near_pair(w: np.ndarray) -> bool:
+    """Any two samples within _NEAR_PAIR_EPS of each other.
 
     |w_i - w_j| is at least |Re w_i - Re w_j| in floats too (hypot never
     rounds below its larger argument), so only pairs whose real parts
-    lie within eps qualify.  In order of real part, the k-th neighbours
-    are compared for k = 1, 2, ...; a sample whose k-th neighbour is
-    already farther than eps in real part has no nearer one beyond, so
-    the samples still in play shrink at each k until none is left.
+    lie within the threshold qualify.  In order of real part, the k-th
+    neighbours are compared for k = 1, 2, ...; a sample whose k-th
+    neighbour is already beyond the threshold in real part has no nearer
+    one further on, so the samples still in play shrink at each k until
+    none is left.
     """
     w = w[np.argsort(w.real, kind="stable")]
     x = w.real
@@ -437,10 +442,10 @@ def _has_near_pair(w: np.ndarray, eps: float = 1e-9) -> bool:
     k = 1
     while True:
         p = p[p + k < len(w)]
-        p = p[x[p + k] - x[p] <= eps]
+        p = p[x[p + k] - x[p] <= _NEAR_PAIR_EPS]
         if p.size == 0:
             return False
-        if np.any(np.abs(w[p + k] - w[p]) <= eps):
+        if np.any(np.abs(w[p + k] - w[p]) <= _NEAR_PAIR_EPS):
             return True
         k += 1
 

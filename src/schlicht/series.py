@@ -260,13 +260,6 @@ def principal_log(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def shift_down(f: TruncatedSeries) -> TruncatedSeries:
-    """Divide by z.  Requires c_0 = 0 exactly; output order is order - 1."""
-    if f.coeffs[0] != 0 or f.order < 1:
-        raise InvalidParameter("shift_down requires a series vanishing at 0")
-    return TruncatedSeries(f.coeffs[1:])
-
-
 def sqrt_even_transform(f: TruncatedSeries) -> NormalizedSeries:
     """Odd square-root transform g with g(z)^2 = f(z^2), g'(0) = 1.
 
@@ -361,10 +354,12 @@ def series_from_dict(data: dict) -> TruncatedSeries:
     except (TypeError, KeyError) as exc:
         raise InvalidParameter("series record needs 'order' and 'coeffs'") from exc
     require_count(order, "order")
+    if not isinstance(rows, list):
+        raise InvalidParameter("coeffs must be a list of [re, im] pairs")
     if len(rows) != order + 1:
         raise InvalidParameter("coefficient list must have length order + 1")
     try:
         arr = np.array([complex(re, im) for re, im in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter("coefficients must be [re, im] pairs") from exc
     return TruncatedSeries(arr)

@@ -10,6 +10,7 @@ from schlicht import (
     TruncatedSeries,
     check_coefficient_bound,
     check_pommerenke,
+    divide,
     evaluate_many,
     evaluate_measure,
     h_to_schwarz,
@@ -30,7 +31,6 @@ from schlicht.caratheodory import (
     VIOLATION_EPS,
     _draw_measures,
     _sample_rows,
-    measure_from_dict,
     measure_to_dict,
 )
 from schlicht.errors import (
@@ -92,7 +92,7 @@ class TestHerglotzMeasure:
 
     def test_json_roundtrip(self):
         m = HerglotzMeasure(((0.3, 0.25), (2.0, 0.75)))
-        back = measure_from_dict(measure_to_dict(m))
+        back = HerglotzMeasure(tuple(map(tuple, measure_to_dict(m)["atoms"])))
         assert np.allclose(back.angles, m.angles)
         assert np.allclose(back.weights, m.weights)
 
@@ -154,6 +154,30 @@ class TestJanowski:
             JanowskiParams(0.5, 0.5)
         with pytest.raises(InvalidParameter):
             JanowskiParams(1.5, -1.0)
+
+
+def test_schwarz_side_constant_terms_need_no_check():
+    # h_to_schwarz and janowski check nothing beyond require_caratheodory
+    # and SchwarzFunction: for every h it admits, (h - 1)/(h + 1) starts
+    # within 1e-12 of 0, and 1 + b theta starts at exactly 1 when theta(0)
+    # is -0.0 and b < 0 (the one case whose product b theta_0 is signed)
+    rng = np.random.default_rng(2024)
+    tail = 0.5 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    edges = 1e-12 * np.array([1, -1, 1j, -1j])
+    inner = 1e-12 * np.sqrt(rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
+    worst = 0.0
+    for d in np.concatenate([edges, inner]):
+        h = TruncatedSeries(np.concatenate([[1.0 + d], tail]))
+        if abs(h.coeffs[0] - 1.0) > 1e-12:
+            continue  # refused by require_caratheodory
+        worst = max(worst, abs(divide(h - 1, h + 1).coeffs[0]))
+        assert h_to_schwarz(h).series.coeffs[0] == 0
+    assert 0 < worst < 1e-12
+    theta = SchwarzFunction(TruncatedSeries(np.concatenate([[-0.0], tail])))
+    assert np.signbit(theta.series.coeffs[0].real)
+    for b in (-1.0, -0.5, -1e-300, 0.0, 0.25):
+        got = janowski(theta, JanowskiParams(1.0, b))
+        assert got.coeffs[0] == 1
 
 
 class TestPreserve:

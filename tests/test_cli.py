@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -141,6 +142,20 @@ class TestTransform:
     def test_convolve_requires_with(self):
         proc = run_cli("transform", "convolve", stdin=build("koebe", 8))
         assert proc.returncode == 2
+
+    def test_non_utf8_input_exits_two(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(build("koebe", 4).encode().replace(b"{", b"{\xe9 ", 1))
+        proc = run_cli("transform", "sqrt", "--input", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {path} is not UTF-8 text"]
+
+    def test_non_utf8_stdin_exits_two(self, monkeypatch, capsys):
+        # as a UTF-8 locale decodes it, without surrogateescape
+        stdin = io.TextIOWrapper(io.BytesIO(b'{"order": 0, \xe9}'), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["transform", "sqrt"]) == 2
+        assert capsys.readouterr().err == "error: stdin is not UTF-8 text\n"
 
     def test_linsum_endpoint(self, tmp_path):
         other = tmp_path / "identity.json"

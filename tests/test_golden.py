@@ -53,6 +53,7 @@ CARATHEODORY = PIPE(["sample", "--seed", "3", "--atoms", "2", "--order", "16"])
 G_FILE = {"g.json": PIPE(["build", "identity", "--order", "16"])}
 WITH_FILE = {"g.json": THMB16}
 BOOL_ORDER = json.dumps({"order": True, "coeffs": [[0, 0], [1, 0]]})
+MISSING = "{tmp}/missing.json"
 
 CASES = [
     # build: every stock tag, the default order, an unknown tag
@@ -108,6 +109,14 @@ CASES = [
     ("transform-bad-json", ["transform", "rotate", "--theta", "0"], "not json {", {}),
     ("transform-bool-order", ["transform", "rotate", "--theta", "0"], BOOL_ORDER, {}),
     ("transform-unknown-kind", ["transform", "frobnicate"], KOEBE8, {}),
+    ("transform-coeffs-number", ["transform", "sqrt"], '{"order": 0, "coeffs": 5}', {}),
+    ("transform-coeffs-null", ["transform", "sqrt"], '{"order": 0, "coeffs": null}', {}),
+    # unreadable and unwritable files named by flags
+    ("transform-input-missing", ["transform", "sqrt", "--input", MISSING], "", {}),
+    ("transform-input-directory", ["transform", "sqrt", "--input", "{tmp}"], "", {}),
+    ("transform-with-missing", ["transform", "convolve", "--with", MISSING], KOEBE16, {}),
+    ("transform-output-unwritable", ["transform", "sqrt", "--output", "{tmp}/no/dir.json"],
+     KOEBE8, {}),
     # check: every class, the boundary CSV, stdin input
     ("check-bounded-turning", ["check", "--class", "bounded-turning", "--function", "thmB",
                                "--r", "0.9"], "", {}),
@@ -132,6 +141,11 @@ CASES = [
                                     "--r", "0.5"], "", {}),
     ("check-function-and-input", ["check", "--class", "starlike", "--function", "koebe",
                                   "--input", "{tmp}/g.json", "--r", "0.5"], "", G_FILE),
+    ("check-g-missing", ["check", "--class", "close-to-convex", "--function", "koebe",
+                         "--r", "0.5", "--g", MISSING], "", {}),
+    ("check-boundary-unwritable", ["check", "--class", "convex", "--function", "koebe",
+                                   "--r", "0.3", "--angles", "16",
+                                   "--boundary", "{tmp}/no/curve.csv"], "", {}),
     # radius: every predicate
     ("radius-local-univalence", ["radius", "local-univalence", "--function", "thmA"], "", {}),
     ("radius-local-univalence-identity", ["radius", "local-univalence", "--function", "identity",
@@ -153,6 +167,8 @@ CASES = [
     ("radius-injectivity-stdin", ["radius", "injectivity"],
      json.dumps({"order": 2, "coeffs": [[0, 0], [1, 0], [2, 0]]}), {}),
     ("radius-no-predicate", ["radius", "--function", "koebe"], "", {}),
+    ("radius-two-predicates", ["radius", "convex", "--predicate", "starlike",
+                               "--function", "koebe"], "", {}),
     ("radius-convex-trace", ["radius", "convex", "--function", "koebe", "--order", "16",
                              "--trace"], "", {}),
     # check and radius with --order above --angles, series and closed form

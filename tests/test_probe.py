@@ -304,15 +304,14 @@ class TestPredicateTable:
 
 class TestEnclosesZero:
     def test_winding_around_zero(self):
-        assert encloses_zero(circle(0.6, 64) - 0.5, 1e-9)
-        assert not encloses_zero(circle(0.4, 64) - 0.5, 1e-9)
+        assert encloses_zero(circle(0.6, 64) - 0.5)
+        assert not encloses_zero(circle(0.4, 64) - 0.5)
 
     def test_passing_within_eps(self):
         # 0 lies 1e-12 outside this loop, next to its sample at theta = 0
         touching = circle(0.5, 64) - 0.5 - 1e-12
         assert _winding_number(touching) == 0
-        assert encloses_zero(touching, 1e-9)
-        assert not encloses_zero(touching, 1e-13)
+        assert encloses_zero(touching)
 
 
 class TestInclusionChains:
@@ -497,7 +496,7 @@ class TestInjectivityOracle:
         outcomes = []
         for F, r, n_angles in _injectivity_cases():
             got = injectivity_probe(F, r, n_angles)
-            want = (not encloses_zero(circle_values(F, r, n_angles, 1), POSITIVITY_EPS)
+            want = (not encloses_zero(circle_values(F, r, n_angles, 1))
                     and injective_all_pairs(circle_values(F, r, n_angles)))
             assert got == want, (F, r, n_angles)
             outcomes.append(got)

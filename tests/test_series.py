@@ -38,7 +38,6 @@ from schlicht.series import (
     mobius_recompose,
     require_count,
     require_real,
-    shift_down,
 )
 
 from oracles import (
@@ -97,6 +96,15 @@ class TestJson:
         with pytest.raises(InvalidParameter):
             series_from_dict({"order": True, "coeffs": [[0, 0], [1, 0]]})
 
+    @pytest.mark.parametrize("coeffs", [5, None, "ab", {"0": [1, 0]}])
+    def test_coeffs_must_be_a_list(self, coeffs):
+        with pytest.raises(InvalidParameter, match="coeffs must be a list"):
+            series_from_dict({"order": 1, "coeffs": coeffs})
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidParameter):
+            series_from_dict({"order": 1, "coeffs": [[0, 0], [10**400, 0]]})
+
 
 class TestMultiply:
     def test_difference_of_squares(self):
@@ -145,7 +153,7 @@ class TestDivide:
     def test_log_derivative_of_koebe(self):
         # z k'(z) / k(z) = k'(z) / (k(z)/z) = (1+z)/(1-z)
         k = koebe(16)
-        q = divide(differentiate(k), shift_down(k))
+        q = divide(differentiate(k), TruncatedSeries(k.coeffs[1:]))
         assert np.max(np.abs(q.coeffs - moebius(15).coeffs)) < 1e-10
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
