@@ -33,16 +33,18 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .caratheodory import measure_to_dict, sample, sample_measure
-from .errors import InvalidParameter, SchlichtError, ValidationError
+from .errors import InvalidParameter, NonFiniteResult, SchlichtError, ValidationError
 from .functionals import bieberbach_check, covering_check, fekete_szego, hankel
 from .probe import (
-    PREDICATE_KINDS,
+    PREDICATES,
     circle_angles,
     circle_values,
     class_predicate,
     class_radius,
-    predicate_angles,
+    predicate_kind,
 )
 from .series import (
     DEFAULT_ORDER,
@@ -110,7 +112,11 @@ def _write_text(text: str, path: Optional[str]) -> None:
 
 
 def _emit(obj: object, path: Optional[str]) -> None:
-    _write_text(json.dumps(obj, sort_keys=True) + "\n", path)
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult("result is not finite: inf or NaN has no JSON form") from exc
+    _write_text(text + "\n", path)
 
 
 #: Flags whose value is a complex literal.  argparse reads a value such as
@@ -235,10 +241,22 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def _probe_inputs(args: argparse.Namespace, name: str) -> tuple:
+    """(row, f, g): the PREDICATES row of the predicate name, f, and g
+    or None.  Before any file is read, --g is refused for a kind that
+    does not read g and required for one that does."""
+    row = PREDICATES[predicate_kind(name)]
+    if row.reads_g and args.g is None:
+        raise InvalidParameter(f"{name} requires --g")
+    if args.g is not None and not row.reads_g:
+        raise InvalidParameter(f"{name} does not read --g")
     f = _resolve_input(args)
-    g = _read_series(args.g) if args.g is not None else None
-    n_angles = predicate_angles(args.klass, args.angles)
+    return row, f, _read_series(args.g) if row.reads_g else None
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    row, f, g = _probe_inputs(args, args.klass)
+    n_angles = row.angles if args.angles is None else args.angles
     holds = class_predicate(args.klass, f, args.r, n_angles, g)
     if args.boundary is not None:
         _write_boundary_csv(args.boundary, f, args.r, n_angles)
@@ -255,8 +273,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
             f"radius got two predicates, {args.predicate} and --predicate {args.predicate_flag}"
         )
     (predicate,) = given
-    f = _resolve_input(args)
-    g = _read_series(args.g) if args.g is not None else None
+    _, f, g = _probe_inputs(args, predicate)
     result = class_radius(predicate, f, g=g, tol=args.tol, n_angles=args.angles)
     out = result.to_dict()
     if args.trace:
@@ -317,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="normalized univalent functions as truncated power series",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    predicates = tuple(k.replace("_", "-") for k in PREDICATE_KINDS)
+    predicates = tuple(k.replace("_", "-") for k in PREDICATES)
 
     p = sub.add_parser("build", help="emit a named function as series JSON")
     p.add_argument("name", choices=STOCK_FUNCTIONS)
@@ -401,7 +418,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             value = getattr(args, flag[2:], None)
             if value is not None:
                 require_count(value, flag, positive=positive, most=most)
-        return args.handler(args)
+        # every non-finite result is refused by an explicit check, so
+        # numpy's warnings on the way there would only repeat the error
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,5 +55,9 @@ class EvaluationSingularity(SchlichtError):
     denominator."""
 
 
+class NonFiniteResult(SchlichtError):
+    """A computed result overflowed to infinity or NaN."""
+
+
 class DegenerateAtCenter(SchlichtError):
     """A radius predicate already fails at the innermost test radius."""

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .caratheodory import MarginReport
-from .errors import InvalidParameter, OrderTooLow
-from .series import TruncatedSeries, require_count, require_normalized
+from .errors import InvalidParameter, NonFiniteResult, OrderTooLow
+from .series import TruncatedSeries, require_complex, require_count, require_normalized
 
 
 def _coeff(f: TruncatedSeries, k: int) -> complex:
@@ -35,7 +35,10 @@ def fekete_szego(f: TruncatedSeries, alpha: float) -> MarginReport:
     _require_normalized_order(f, 3)
     if not 0 <= alpha <= 1:
         raise InvalidParameter("alpha must lie in [0, 1]")
-    value = abs(_coeff(f, 3) - alpha * _coeff(f, 2) ** 2)
+    a2 = _coeff(f, 2)
+    value = abs(_coeff(f, 3) - alpha * (a2 * a2))
+    if not math.isfinite(value):
+        raise NonFiniteResult("fekete_szego value overflows")
     bound = 1.0 if alpha == 1 else 1.0 + 2.0 * math.exp(-2.0 * alpha / (1.0 - alpha))
     return MarginReport("fekete_szego", value, bound)
 
@@ -94,7 +97,7 @@ def covering_check(f: TruncatedSeries, xi: complex) -> MarginReport:
     Equality at xi = -1/4 picks out the extremal covering situation.
     """
     _require_normalized_order(f, 2)
-    xi = complex(xi)
+    xi = require_complex(xi, "omitted value")
     if xi == 0:
         raise InvalidParameter("omitted value must be nonzero")
     value = abs(_coeff(f, 2) + 1.0 / xi)

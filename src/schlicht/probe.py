@@ -6,9 +6,10 @@ refute a property but never certify it.  Thresholds are strict: a
 quantity counts as positive only when it clears POSITIVITY_EPS, and a
 radius bracket is reported with the predicate trace that produced it.
 
-class_predicate evaluates a kind of PREDICATE_KINDS at one radius and
-class_radius bisects it, both through _holds, the only code that knows
-the kinds and how many angles each samples by default.
+PREDICATES holds each predicate kind's default angles and whether it
+reads g.  class_predicate evaluates a kind at one radius and class_radius
+bisects it, both through _holds: each sample is checked finite, then
+put to its kind's test.
 
 Every probe sees a function on the same equispaced circle |z| = r,
 r in (0, 1), at 8 or more angles, through one kernel, circle_values.
@@ -184,40 +185,43 @@ class RadiusResult:
 def min_real_part(F, r: float, n_angles: int = 256) -> float:
     """Minimum of Re F over n_angles equispaced points on |z| = r.
 
-    Raises EvaluationSingularity when a sample lands on a pole (the
-    value comes back non-finite).
+    Raises EvaluationSingularity when a sample comes back non-finite.
     """
-    vals = circle_values(F, r, n_angles)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationSingularity("sample hit a pole of F")
-    return float(np.min(vals.real))
+    return float(np.min(_finite(circle_values(F, r, n_angles), "F").real))
 
 
-#: Defining quantities for the classical geometric classes, as functions
-#: of (f, f', f'', g') evaluated pointwise on the circle.
-CLASS_KINDS = (
-    "bounded_turning",
-    "starlike",
-    "convex",
-    "close_to_convex",
-    "ratio_positive",
-    "quasi_convex",
-)
+@dataclass(frozen=True)
+class PredicateKind:
+    """A row of PREDICATES: the angles a kind samples when none are
+    given, and whether it reads a reference function g."""
 
-#: Every predicate on |z| = r: the classes, whose defining quantity must
-#: have positive real part, then f' free of zeros inside the circle and
-#: f injective on it (which implies the former).  Both are monotone in r
-#: (Darboux), so a radius solve on "injectivity" brackets the radius of
-#: univalence.
-PREDICATE_KINDS = CLASS_KINDS + ("local_univalence", "injectivity")
-
-#: Angles sampled when none are given, where it is not 256.
-_DEFAULT_ANGLES = {"local_univalence": 2048, "injectivity": 512}
+    angles: int = 256
+    reads_g: bool = False
 
 
-def predicate_angles(kind: str, n_angles: int | None = None) -> int:
-    """n_angles, or when it is None the number of angles kind samples."""
-    return _DEFAULT_ANGLES.get(kind.replace("-", "_"), 256) if n_angles is None else n_angles
+#: Every predicate on |z| = r, by kind: the classes, whose defining
+#: quantity (_class_quantity, of f, f', f'' and g') must have positive
+#: real part, then f' free of zeros inside the circle and f injective on
+#: it (which implies the former).  Both are monotone in r (Darboux), so
+#: a radius solve on "injectivity" brackets the radius of univalence.
+PREDICATES = {
+    "bounded_turning": PredicateKind(),
+    "starlike": PredicateKind(),
+    "convex": PredicateKind(),
+    "close_to_convex": PredicateKind(reads_g=True),
+    "ratio_positive": PredicateKind(),
+    "quasi_convex": PredicateKind(reads_g=True),
+    "local_univalence": PredicateKind(angles=2048),
+    "injectivity": PredicateKind(angles=512),
+}
+
+
+def predicate_kind(name: str) -> str:
+    """The key of PREDICATES that name spells, reading '-' as '_'."""
+    kind = name.replace("-", "_")
+    if kind not in PREDICATES:
+        raise InvalidParameter(f"unknown predicate kind: {name!r}")
+    return kind
 
 
 def _class_quantity(kind: str, f, n_angles: int, g) -> Callable[[float], np.ndarray]:
@@ -242,8 +246,6 @@ def _class_quantity(kind: str, f, n_angles: int, g) -> Callable[[float], np.ndar
     if kind == "convex":
         f1, f2 = sampler(ser, 1), sampler(ser, 2)
         return lambda r: 1.0 + _safe_quotient(r * unit * f2(r), f1(r))
-    if g is None:
-        raise InvalidParameter(f"{kind} needs a reference function g")
     gp = sampler(g, 1)
     if kind == "close_to_convex":
         fp = sampler(f, 1)
@@ -258,51 +260,49 @@ def _safe_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / den
 
 
+def _finite(w: np.ndarray, what: str) -> np.ndarray:
+    """w, or EvaluationSingularity when a sample is a pole or overflow."""
+    if not np.all(np.isfinite(w)):
+        raise EvaluationSingularity(f"{what} sample non-finite: a pole or an overflow")
+    return w
+
+
 def _holds(kind: str, f, n_angles: int | None, g) -> Callable[[float], bool]:
-    """r -> whether the predicate kind holds on circle(r, n_angles), with
-    the circle samplers built once; n_angles None takes the kind's
-    default."""
-    kind = kind.replace("-", "_")
-    if kind not in PREDICATE_KINDS:
-        raise InvalidParameter(f"unknown predicate kind: {kind!r}")
-    n_angles = predicate_angles(kind, n_angles)
+    """r -> whether the predicate kind, a key of PREDICATES, holds on
+    circle(r, n_angles), with the circle samplers built once; n_angles
+    None takes the kind's default.  Each stage samples one function,
+    checks it finite and tests it, after the stages before it passed."""
+    row = PREDICATES[kind]
+    n_angles = row.angles if n_angles is None else n_angles
     if kind == "injectivity" and n_angles > 4096:
         raise InvalidParameter("n_angles must lie in [8, 4096]")
+    if row.reads_g and g is None:
+        raise InvalidParameter(f"{kind} needs a reference function g")
     if kind in ("local_univalence", "injectivity"):
-        f_prime = _circle_sampler(f, n_angles, 1)
-
-        def zero_free(r: float) -> bool:
-            return not encloses_zero(f_prime(r))
-
-        if kind == "local_univalence":
-            return zero_free
-        values = _circle_sampler(f, n_angles)
+        stages = [(_circle_sampler(f, n_angles, 1), lambda w: not encloses_zero(w))]
+        if kind == "injectivity":
+            stages.append((_circle_sampler(f, n_angles), _polyline_injective))
     else:
-        values = _class_quantity(kind, f, n_angles, g)
+        quantity = _class_quantity(kind, f, n_angles, g)
+        stages = [(quantity, lambda w: float(np.min(w.real)) > POSITIVITY_EPS)]
 
     def holds(r: float) -> bool:
-        if kind == "injectivity" and not zero_free(r):
-            return False
-        w = values(r)
-        if not np.all(np.isfinite(w)):
-            raise EvaluationSingularity(f"{kind} sample non-finite: a pole on the circle")
-        if kind == "injectivity":
-            return _polyline_injective(w)
-        return float(np.min(w.real)) > POSITIVITY_EPS
+        return all(test(_finite(values(r), kind)) for values, test in stages)
 
     return holds
 
 
 def class_predicate(kind: str, f, r: float, n_angles: int | None = None, g=None) -> bool:
-    """True when the predicate kind (one of PREDICATE_KINDS) holds on
-    the sampled circle |z| = r; for a class, when its defining quantity
-    stays strictly positive (beyond POSITIVITY_EPS).  n_angles None
-    samples the kind's default, predicate_angles(kind).
+    """True when the predicate kind (a key of PREDICATES, '-' read as
+    '_') holds on the sampled circle |z| = r; for a class, when its
+    defining quantity stays strictly positive (beyond POSITIVITY_EPS).
+    n_angles None samples the kind's default; a g that the kind does
+    not read is ignored.
 
     A True on a finite grid says nothing about the gaps between
     samples; treat it as evidence, not proof.
     """
-    return _holds(kind, f, n_angles, g)(r)
+    return _holds(predicate_kind(kind), f, n_angles, g)(r)
 
 
 def partial_sum(f: TruncatedSeries, k: int) -> NormalizedSeries:
@@ -389,12 +389,9 @@ def class_radius(
     n_angles: int | None = None,
 ) -> RadiusResult:
     """Bisection bracket for the largest circle on which the predicate
-    kind (one of PREDICATE_KINDS) holds."""
-    return radius_solve(
-        _holds(kind, f, n_angles, g),
-        tol=tol,
-        predicate_name=kind.replace("-", "_"),
-    )
+    kind holds, with kind, n_angles and g read as by class_predicate."""
+    kind = predicate_kind(kind)
+    return radius_solve(_holds(kind, f, n_angles, g), tol=tol, predicate_name=kind)
 
 
 def _winding_number(values: np.ndarray) -> int:
@@ -417,7 +414,7 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int | None = None) -
     f' must stay beyond POSITIVITY_EPS from 0 and not wind around it
     (encloses_zero), which is monotone in r.  A capped result means no
     zero of f' was found up to RADIUS_CAP.  n_angles None samples
-    predicate_angles("local_univalence")."""
+    PREDICATES["local_univalence"].angles."""
     return class_radius("local_univalence", f, tol=tol, n_angles=n_angles)
 
 
@@ -525,6 +522,6 @@ def injectivity_probe(f, r: float, n_angles: int | None = None) -> bool:
     image (_polyline_injective).  Returns False on the first failure.
     This is a refutation device: True only means no self-contact was
     detected at this resolution.  n_angles None samples
-    predicate_angles("injectivity").
+    PREDICATES["injectivity"].angles.
     """
     return class_predicate("injectivity", f, r, n_angles)

@@ -131,6 +131,14 @@ def require_real(x, what: str) -> float:
     raise InvalidParameter(f"{what} must be a finite real number")
 
 
+def require_complex(x, what: str) -> complex:
+    """x as a complex; InvalidParameter unless it is a number whose real
+    and imaginary parts are finite."""
+    if isinstance(x, numbers.Complex) and cmath.isfinite(complex(x)):
+        return complex(x)
+    raise InvalidParameter(f"{what} must be a finite complex number")
+
+
 def require_count(n, what: str, positive: bool = False, most: int | None = None) -> int:
     """n as an int; InvalidParameter unless it is an integer, not a bool,
     that is nonnegative (positive if asked) and, when given, <= most."""

@@ -28,6 +28,7 @@ from .series import (
     compose,
     divide,
     mobius_recompose,
+    require_complex,
     require_count,
     require_normalized,
     require_real,
@@ -72,7 +73,7 @@ class DiskAutomorphism:
     sigma: complex
 
     def __post_init__(self) -> None:
-        s = complex(self.sigma)
+        s = require_complex(self.sigma, "automorphism center")
         if abs(s) >= 1:
             raise InvalidParameter("automorphism center must satisfy |sigma| < 1")
         object.__setattr__(self, "sigma", s)
@@ -85,7 +86,7 @@ class OmittedValue:
     xi: complex
 
     def __post_init__(self) -> None:
-        x = complex(self.xi)
+        x = require_complex(self.xi, "omitted value")
         if x == 0:
             raise InvalidParameter("omitted value must be nonzero")
         object.__setattr__(self, "xi", x)

@@ -307,6 +307,56 @@ class TestRadius:
         assert "error:" in proc.stderr
 
 
+#: f' and f overflow to inf on every circle
+OVERFLOW = json.dumps({"order": 3, "coeffs": [[0, 0], [1, 0], [1e308, 0], [1e308, 0]]})
+#: a_2 = a_3 = a_4 = 1e200
+HUGE = json.dumps({"order": 4, "coeffs": [[0, 0], [1, 0]] + [[1e200, 0]] * 3})
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["radius", "local-univalence"], OVERFLOW, 1),
+        (["check", "--class", "injectivity", "--r", "0.99"], OVERFLOW, 1),
+        (["functional", "hankel", "--q", "2", "--n", "1"], HUGE, 1),
+        (["functional", "fekete", "--alpha", "0.5"], HUGE, 1),
+        (["transform", "omit", "--xi", "nan"], OVERFLOW, 2),
+        (["transform", "autom", "--sigma", "nan"], OVERFLOW, 2),
+        (["functional", "covering", "--xi", "nan"], OVERFLOW, 2),
+    ],
+)
+def test_non_finite_gives_one_error_line(argv, stdin, code):
+    # no NaN or Infinity on stdout, no warning or traceback on stderr
+    proc = run_cli(*argv, stdin=stdin)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
+class TestReferenceFunctionFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--class", "starlike", "--r", "0.5"],
+            ["check", "--class", "local-univalence", "--r", "0.5"],
+            ["radius", "convex"],
+            ["radius", "--predicate", "injectivity"],
+        ],
+    )
+    def test_refused_before_the_file_is_read(self, argv, tmp_path, capsys):
+        # the --g file does not exist: the refusal names the flag, not the file
+        args = argv + ["--function", "koebe", "--order", "8", "--g", str(tmp_path / "none.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not read --g" in err
+
+    @pytest.mark.parametrize("argv", [["check", "--class", "quasi-convex", "--r", "0.2"],
+                                      ["radius", "close-to-convex"]])
+    def test_required_where_read(self, argv, capsys):
+        assert main(argv + ["--function", "koebe", "--order", "8"]) == 2
+        assert "requires --g" in capsys.readouterr().err
+
+
 class TestSample:
     def test_deterministic_bytes(self):
         a = run_cli("sample", "--seed", "7", "--atoms", "3", "--order", "16")

@@ -21,7 +21,7 @@ from schlicht import (
     sqrt_even_transform,
 )
 from schlicht.caratheodory import VIOLATION_EPS
-from schlicht.errors import InvalidParameter, OrderTooLow
+from schlicht.errors import InvalidParameter, NonFiniteResult, OrderTooLow
 from schlicht.series import TruncatedSeries
 
 from oracles import det_cofactor, random_normalized_coeffs
@@ -30,6 +30,18 @@ ODD_C5_CONSTANT = 0.5 + math.exp(-2.0 / 3.0)
 
 
 class TestFeketeSzego:
+    @pytest.mark.parametrize("a2, a3", [(1e200, 1e200), (1e154, -1.7e308)])
+    def test_overflow_is_a_computation_error(self, a2, a3):
+        # a_2^2 overflows, or a_2^2 is finite and the difference is not
+        with pytest.raises(NonFiniteResult):
+            fekete_szego(TruncatedSeries([0.0, 1.0, a2, a3]), 1.0)
+
+    def test_square_is_the_power(self):
+        rng = np.random.default_rng(5)
+        for a2, a3 in rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2)):
+            want = abs(complex(a3) - 0.3 * complex(a2) ** 2)
+            assert fekete_szego(TruncatedSeries([0.0, 1.0, a2, a3]), 0.3).value == want
+
     def test_koebe_alpha_zero(self):
         rep = fekete_szego(koebe(8), 0.0)
         assert rep.value == 3.0
@@ -192,6 +204,10 @@ class TestCovering:
     def test_zero_xi_rejected(self):
         with pytest.raises(InvalidParameter):
             covering_check(koebe(4), 0.0)
+
+    def test_non_finite_xi_rejected(self):
+        with pytest.raises(InvalidParameter, match="finite complex number"):
+            covering_check(koebe(4), complex("nan"))
 
 
 def _schwarz(which):

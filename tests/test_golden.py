@@ -54,6 +54,10 @@ G_FILE = {"g.json": PIPE(["build", "identity", "--order", "16"])}
 WITH_FILE = {"g.json": THMB16}
 BOOL_ORDER = json.dumps({"order": True, "coeffs": [[0, 0], [1, 0]]})
 MISSING = "{tmp}/missing.json"
+#: f' and f overflow to inf on every circle
+OVERFLOW = json.dumps({"order": 3, "coeffs": [[0, 0], [1, 0], [1e308, 0], [1e308, 0]]})
+#: a_2 = a_3 = a_4 = 1e200: a_2^2 and a_2 a_4 overflow
+HUGE = json.dumps({"order": 4, "coeffs": [[0, 0], [1, 0]] + [[1e200, 0]] * 3})
 
 CASES = [
     # build: every stock tag, the default order, an unknown tag
@@ -78,6 +82,7 @@ CASES = [
     ("transform-omit-attained", ["transform", "omit", "--xi", "0.6"],
      PIPE(["build", "identity", "--order", "8"]), {}),
     ("transform-omit-unstable", ["transform", "omit", "--xi", "0.3"], KOEBE16, {}),
+    ("transform-omit-nan", ["transform", "omit", "--xi", "nan"], KOEBE8, {}),
     ("transform-sqrt", ["transform", "sqrt"], KOEBE8, {}),
     ("transform-libera", ["transform", "libera"], KOEBE16, {}),
     ("transform-bernardi", ["transform", "bernardi", "--gamma", "0.5"], THMB16, {}),
@@ -143,6 +148,10 @@ CASES = [
                                   "--input", "{tmp}/g.json", "--r", "0.5"], "", G_FILE),
     ("check-g-missing", ["check", "--class", "close-to-convex", "--function", "koebe",
                          "--r", "0.5", "--g", MISSING], "", {}),
+    ("check-starlike-with-g", ["check", "--class", "starlike", "--function", "koebe",
+                               "--r", "0.5", "--g", "{tmp}/g.json"], "", G_FILE),
+    ("check-injectivity-overflow", ["check", "--class", "injectivity", "--r", "0.99"],
+     OVERFLOW, {}),
     ("check-boundary-unwritable", ["check", "--class", "convex", "--function", "koebe",
                                    "--r", "0.3", "--angles", "16",
                                    "--boundary", "{tmp}/no/curve.csv"], "", {}),
@@ -169,6 +178,9 @@ CASES = [
     ("radius-no-predicate", ["radius", "--function", "koebe"], "", {}),
     ("radius-two-predicates", ["radius", "convex", "--predicate", "starlike",
                                "--function", "koebe"], "", {}),
+    ("radius-convex-with-g", ["radius", "convex", "--function", "koebe", "--g", "{tmp}/g.json"],
+     "", G_FILE),
+    ("radius-local-univalence-overflow", ["radius", "local-univalence"], OVERFLOW, {}),
     ("radius-convex-trace", ["radius", "convex", "--function", "koebe", "--order", "16",
                              "--trace"], "", {}),
     # check and radius with --order above --angles, series and closed form
@@ -196,6 +208,8 @@ CASES = [
     ("functional-hankel", ["functional", "hankel", "--q", "3", "--n", "1", "--function", "koebe",
                            "--order", "8"], "", {}),
     ("functional-hankel-thmB", ["functional", "hankel", "--q", "2", "--n", "2"], THMB16, {}),
+    ("functional-hankel-overflow", ["functional", "hankel", "--q", "2", "--n", "1"], HUGE, {}),
+    ("functional-fekete-overflow", ["functional", "fekete", "--alpha", "0.5"], HUGE, {}),
     ("functional-hankel-q0", ["functional", "hankel", "--q", "0", "--function", "koebe"], "", {}),
     ("functional-bieberbach", ["functional", "bieberbach", "--function", "thmB",
                                "--order", "16"], "", {}),

@@ -32,10 +32,9 @@ from schlicht.errors import (
     InvalidParameter,
 )
 from schlicht.probe import (
-    CLASS_KINDS,
     INNER_RADIUS,
-    PREDICATE_KINDS,
     POSITIVITY_EPS,
+    PREDICATES,
     RADIUS_CAP,
     _circle_sampler,
     _class_quantity,
@@ -45,7 +44,7 @@ from schlicht.probe import (
     circle,
     circle_angles,
     encloses_zero,
-    predicate_angles,
+    predicate_kind,
 )
 from schlicht.series import (
     TruncatedSeries,
@@ -67,6 +66,8 @@ from oracles import (
 )
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
+#: The classes: the kinds whose defining quantity must have positive real part.
+CLASS_KINDS = tuple(PREDICATES)[:6]
 CONVEXITY_RADIUS = 2.0 - math.sqrt(3.0)
 
 
@@ -274,9 +275,32 @@ class TestPredicateTable:
     points of local univalence and injectivity are calls into it."""
 
     def test_default_angles(self):
-        assert PREDICATE_KINDS[:6] == CLASS_KINDS
-        assert [predicate_angles(k) for k in PREDICATE_KINDS] == [256] * 6 + [2048, 512]
-        assert predicate_angles("local-univalence", 64) == 64
+        assert CLASS_KINDS == ("bounded_turning", "starlike", "convex", "close_to_convex",
+                               "ratio_positive", "quasi_convex")
+        assert list(PREDICATES)[6:] == ["local_univalence", "injectivity"]
+        assert [row.angles for row in PREDICATES.values()] == [256] * 6 + [2048, 512]
+        assert [k for k, row in PREDICATES.items() if row.reads_g] == [
+            "close_to_convex", "quasi_convex"]
+        assert predicate_kind("local-univalence") == "local_univalence"
+        assert predicate_kind("quasi_convex") == "quasi_convex"
+        for name in ("typal", "local univalence", "Starlike"):
+            with pytest.raises(InvalidParameter):
+                predicate_kind(name)
+
+    @pytest.mark.parametrize("kind", list(PREDICATES))
+    def test_overflow_is_a_singularity(self, kind):
+        # f' and f overflow to inf on every circle; a NaN sample must
+        # not reach the winding number or the polyline test
+        f = TruncatedSeries([0.0, 1.0, 1e308, 1e308])
+        with np.errstate(all="ignore"), pytest.raises(EvaluationSingularity):
+            class_predicate(kind, f, 0.99, g=identity(3))
+
+    @pytest.mark.parametrize("kind", [k for k in CLASS_KINDS if not PREDICATES[k].reads_g])
+    def test_ignored_g_changes_nothing(self, kind):
+        # radius solves that pass one g to every class rely on this
+        f = _starlike(2, 64)
+        g = alexander_inverse(_starlike(9, 64))
+        assert class_radius(kind, f, g=g) == class_radius(kind, f)
 
     def test_entry_points_match_the_table(self):
         nf = named_function("thmA", 64)

@@ -36,6 +36,7 @@ from schlicht.errors import (
 from schlicht.series import (
     constant,
     mobius_recompose,
+    require_complex,
     require_count,
     require_real,
 )
@@ -381,3 +382,13 @@ class TestParameterChecks:
     def test_real_refuses_non_finite_and_non_real(self, bad):
         with pytest.raises(InvalidParameter, match="finite real number"):
             require_real(bad, "t")
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("infj"), float("inf"),
+                                     "0.5+1j", None])
+    def test_complex_refuses_non_finite_and_non_numbers(self, bad):
+        with pytest.raises(InvalidParameter, match="finite complex number"):
+            require_complex(bad, "xi")
+
+    def test_complex_accepts_reals_and_numpy_scalars(self):
+        assert require_complex(2, "xi") == 2 + 0j
+        assert require_complex(np.complex128(0.5 - 1j), "xi") == 0.5 - 1j

@@ -65,6 +65,14 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameter):
             OmittedValue(0)
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("nan+0.5j"), complex("inf")])
+    def test_complex_parameters_finite(self, bad):
+        # NaN passes |sigma| < 1 and xi != 0, so both refuse it up front
+        with pytest.raises(InvalidParameter, match="finite complex number"):
+            DiskAutomorphism(bad)
+        with pytest.raises(InvalidParameter, match="finite complex number"):
+            OmittedValue(bad)
+
     def test_bernardi_gamma_domain(self):
         with pytest.raises(InvalidParameter):
             Bernardi(-1.0)
