@@ -19,6 +19,7 @@ from .errors import (
     ConstantDenominatorZero,
     InvalidMeasure,
     InvalidParameter,
+    NonFiniteResult,
     NotCaratheodoryNormalized,
     OrderTooLow,
 )
@@ -32,6 +33,7 @@ from .series import (
     mobius_recompose,
     multiply,
     principal_power,
+    require_complex,
     require_count,
     require_real,
 )
@@ -42,9 +44,10 @@ VIOLATION_EPS = 1e-9
 
 @dataclass(frozen=True)
 class MarginReport:
-    """A nonnegative value against its sharp bound.  per_index, when set,
-    keeps the signed overshoot value_k - bound_k of every index a check
-    scanned, so a positive entry marks a violation there."""
+    """A nonnegative value against its sharp bound; a non-finite value
+    or bound is an overflow and raises NonFiniteResult.  per_index,
+    when set, keeps the signed overshoot value_k - bound_k of every
+    index a check scanned, so a positive entry marks a violation there."""
 
     name: str
     value: float
@@ -52,8 +55,10 @@ class MarginReport:
     per_index: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise InvalidParameter("report value must be finite and >= 0")
+        if not (math.isfinite(self.value) and math.isfinite(self.bound)):
+            raise NonFiniteResult(f"{self.name} value or bound overflows to inf or NaN")
+        if self.value < 0:
+            raise InvalidParameter("report value must be >= 0")
 
     @property
     def margin(self) -> float:
@@ -92,7 +97,14 @@ class HerglotzMeasure:
         if not self.atoms:
             raise InvalidMeasure("measure needs at least one atom")
         angles, weights = np.array([(float(t), float(mu)) for t, mu in self.atoms]).T
-        angles = _checked_angles(angles[None], weights[None])[0]
+        if not (np.isfinite(angles).all() and np.isfinite(weights).all()):
+            raise InvalidMeasure("atoms must be finite")
+        if (weights < 0).any():
+            raise InvalidMeasure("weights must be nonnegative")
+        # summed left to right, as a loop would
+        if abs(np.cumsum(weights)[-1] - 1.0) > 1e-12:
+            raise InvalidMeasure("weights must sum to 1 within 1e-12")
+        angles = np.mod(angles, 2 * np.pi)
         object.__setattr__(self, "atoms", tuple(zip(angles.tolist(), weights.tolist())))
 
     @property
@@ -102,19 +114,6 @@ class HerglotzMeasure:
     @property
     def weights(self) -> np.ndarray:
         return np.array([mu for _, mu in self.atoms])
-
-
-def _checked_angles(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The angles reduced to [0, 2*pi), after checking that row b of the
-    (batch, atoms) arrays is a measure: finite atoms, nonnegative weights
-    that sum to 1 within 1e-12 (summed left to right, as a loop would)."""
-    if not (np.isfinite(angles).all() and np.isfinite(weights).all()):
-        raise InvalidMeasure("atoms must be finite")
-    if (weights < 0).any():
-        raise InvalidMeasure("weights must be nonnegative")
-    if (np.abs(np.cumsum(weights, axis=1)[:, -1] - 1.0) > 1e-12).any():
-        raise InvalidMeasure("weights must sum to 1 within 1e-12")
-    return np.mod(angles, 2 * np.pi)
 
 
 def measure_to_dict(m: HerglotzMeasure) -> dict:
@@ -263,10 +262,7 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
         raise InvalidParameter(f"unknown preserve kind: {kind!r}")
     n = g.order
     if kind == "recenter":
-        tc = complex(t)
-        if abs(tc) >= 1:
-            raise InvalidParameter("recenter needs |t| < 1")
-        moved = mobius_recompose(g, tc)
+        moved = mobius_recompose(g, t)
         center = moved.coeffs[0]
         if abs(center) <= 1e-12:
             raise ConstantDenominatorZero("g vanishes at the new center")
@@ -315,7 +311,7 @@ def _draw_measures(rng_seeds, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     sample_measure draws from each seed.  Every seed gets its own
     generator and one draw of 2 n_atoms - 1 uniforms on [0, 1): first
     the angles over 2*pi (the bits of uniform(0, 2*pi)), then the cuts
-    whose sorted spacings are the weights."""
+    whose sorted spacings are the weights, a measure by construction."""
     require_count(n_atoms, "n_atoms", positive=True)
     u = np.empty((len(rng_seeds), 2 * n_atoms - 1))
     for row, s in zip(u, rng_seeds):
@@ -324,7 +320,7 @@ def _draw_measures(rng_seeds, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     edges[:, 1:-1] = np.sort(u[:, n_atoms:], axis=1)
     edges[:, -1] = 1.0
     weights = np.diff(edges, axis=1)
-    return _checked_angles(2 * np.pi * u[:, :n_atoms], weights), weights
+    return np.mod(2 * np.pi * u[:, :n_atoms], 2 * np.pi), weights
 
 
 def _sample_rows(rng_seeds, n_atoms: int, order: int) -> np.ndarray:
@@ -372,8 +368,8 @@ def pommerenke_extremal(c1: complex, eps: complex, order: int = DEFAULT_ORDER) -
         (1 + (c1 + eps conj(c1))/2 z + eps z^2)
         / (1 - (c1 - eps conj(c1))/2 z - eps z^2)
     """
-    c1 = complex(c1)
-    eps = complex(eps)
+    c1 = require_complex(c1, "c1")
+    eps = require_complex(eps, "eps")
     if abs(c1) > 2 + 1e-12:
         raise InvalidParameter("|c1| must not exceed 2")
     if abs(abs(eps) - 1.0) > 1e-9:

@@ -10,7 +10,8 @@ class SchlichtError(Exception):
 
 
 class ValidationError(SchlichtError):
-    """Bad input rather than a failed computation; the CLI exits 2."""
+    """Bad input rather than a failed computation; the CLI exits 2.
+    Non-finite input, such as a JSON coefficient Infinity, is one."""
 
 
 class InvalidParameter(ValidationError):
@@ -56,7 +57,8 @@ class EvaluationSingularity(SchlichtError):
 
 
 class NonFiniteResult(SchlichtError):
-    """A computed result overflowed to infinity or NaN."""
+    """A computed result overflowed to infinity or NaN; the CLI exits 1.
+    TruncatedSeries and MarginReport raise it for their own values."""
 
 
 class DegenerateAtCenter(SchlichtError):

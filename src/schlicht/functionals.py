@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .caratheodory import MarginReport
-from .errors import InvalidParameter, NonFiniteResult, OrderTooLow
+from .errors import InvalidParameter, OrderTooLow
 from .series import TruncatedSeries, require_complex, require_count, require_normalized
 
 
@@ -37,8 +37,6 @@ def fekete_szego(f: TruncatedSeries, alpha: float) -> MarginReport:
         raise InvalidParameter("alpha must lie in [0, 1]")
     a2 = _coeff(f, 2)
     value = abs(_coeff(f, 3) - alpha * (a2 * a2))
-    if not math.isfinite(value):
-        raise NonFiniteResult("fekete_szego value overflows")
     bound = 1.0 if alpha == 1 else 1.0 + 2.0 * math.exp(-2.0 * alpha / (1.0 - alpha))
     return MarginReport("fekete_szego", value, bound)
 

@@ -347,23 +347,13 @@ def radius_solve(
         raise DegenerateAtCenter(
             f"{predicate_name} already fails at r = {INNER_RADIUS}"
         )
-    lo = INNER_RADIUS
-    hi = None
+    # when every ladder radius passes, lo ends at the last, RADIUS_CAP
+    lo, hi, capped = INNER_RADIUS, RADIUS_CAP, True
     for r in _LADDER:
-        if run(r):
-            lo = r
-        else:
-            hi = r
+        if not run(r):
+            hi, capped = r, False
             break
-    if hi is None:
-        return RadiusResult(
-            lo=RADIUS_CAP,
-            hi=RADIUS_CAP,
-            iterations=0,
-            predicate_name=predicate_name,
-            capped=True,
-            trace=tuple(trace),
-        )
+        lo = r
     iterations = 0
     while hi - lo > tol and iterations < MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
@@ -377,6 +367,7 @@ def radius_solve(
         hi=hi,
         iterations=iterations,
         predicate_name=predicate_name,
+        capped=capped,
         trace=tuple(trace),
     )
 

@@ -21,6 +21,7 @@ from .errors import (
     CompositionRequiresVanishingConstant,
     DivisionBySingularSeries,
     InvalidParameter,
+    NonFiniteResult,
 )
 
 #: Working order used when a caller does not specify one.
@@ -33,7 +34,8 @@ CONSTANT_TERM_EPS = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series truncated at order N."""
+    """Coefficients c_0..c_N of a power series truncated at order N; a
+    non-finite coefficient is an overflow and raises NonFiniteResult."""
 
     coeffs: np.ndarray
 
@@ -42,7 +44,7 @@ class TruncatedSeries:
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidParameter("coefficient vector must be 1-d and nonempty")
         if not np.all(np.isfinite(arr)):
-            raise InvalidParameter("coefficients must be finite")
+            raise NonFiniteResult("coefficients overflow to inf or NaN")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -355,7 +357,8 @@ def series_to_dict(f: TruncatedSeries) -> dict:
 
 
 def series_from_dict(data: dict) -> TruncatedSeries:
-    """Inverse of series_to_dict, validating the length contract."""
+    """Inverse of series_to_dict, validating the length contract and
+    refusing non-finite coefficients as bad input."""
     try:
         order = data["order"]
         rows = data["coeffs"]
@@ -370,4 +373,6 @@ def series_from_dict(data: dict) -> TruncatedSeries:
         arr = np.array([complex(re, im) for re, im in rows], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter("coefficients must be [re, im] pairs") from exc
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameter("coefficients must be finite")
     return TruncatedSeries(arr)

@@ -4,7 +4,7 @@ normalized and the positive-real-part side.
 
 Each transform is a small spec record, and one table, _MAPS, maps each
 spec type to the map that apply runs on it; apply guarantees a
-normalized result.  The everyday maps are plain functions too.  The
+normalized result.  libera and bernardi are shorthands for apply.  The
 command line reaches them through cli.TRANSFORMS, which maps each
 transform kind to the flags it needs and the map from the input series
 to the output.
@@ -177,6 +177,14 @@ def _omitted_value(spec: OmittedValue, f: TruncatedSeries) -> NormalizedSeries:
     return _finish_normalized(divide(spec.xi * f, spec.xi - f).coeffs)
 
 
+def _average(f: TruncatedSeries, gamma: float) -> NormalizedSeries:
+    """Bernardi's coefficient map a_k -> (1+gamma) a_k/(k+gamma)."""
+    out = np.zeros(f.order + 1, dtype=complex)
+    k = np.arange(1, f.order + 1)
+    out[1:] = f.coeffs[1:] * ((1.0 + gamma) / (k + gamma))
+    return NormalizedSeries(out)
+
+
 #: Spec type -> map from (spec, normalized input) to the output series.
 _MAPS = {
     Conjugation: lambda spec, f: NormalizedSeries(np.conj(f.coeffs)),
@@ -190,8 +198,8 @@ _MAPS = {
     OmittedValue: _omitted_value,
     SquareRoot: lambda spec, f: NormalizedSeries(sqrt_even_transform(f).coeffs[: f.order + 1]),
     RangeCompose: lambda spec, f: _finish_normalized(compose(spec.phi, f).coeffs),
-    Libera: lambda spec, f: libera(f),
-    Bernardi: lambda spec, f: bernardi(f, spec.gamma),
+    Libera: lambda spec, f: _average(f, 1.0),
+    Bernardi: lambda spec, f: _average(f, spec.gamma),
     LinearSum: lambda spec, f: _finish_normalized(linear_sum(f, spec.other, spec.t).coeffs),
 }
 
@@ -210,18 +218,13 @@ def apply(spec, f: TruncatedSeries) -> NormalizedSeries:
 
 def libera(f: TruncatedSeries) -> NormalizedSeries:
     """(2/z) integral_0^z f: coefficient map a_k -> 2 a_k/(k + 1)."""
-    return bernardi(f, 1.0)
+    return apply(Libera(), f)
 
 
 def bernardi(f: TruncatedSeries, gamma: float) -> NormalizedSeries:
     """((1+gamma)/z^gamma) integral_0^z t^{gamma-1} f(t) dt:
     coefficient map a_k -> (1+gamma) a_k/(k+gamma).  gamma = 1 is libera."""
-    gamma = Bernardi(gamma).gamma
-    require_normalized(f)
-    out = np.zeros(f.order + 1, dtype=complex)
-    k = np.arange(1, f.order + 1)
-    out[1:] = f.coeffs[1:] * ((1.0 + gamma) / (k + gamma))
-    return NormalizedSeries(out)
+    return apply(Bernardi(gamma), f)
 
 
 def libera_kernel(order: int) -> NormalizedSeries:

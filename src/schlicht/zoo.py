@@ -267,16 +267,7 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
         raise OrderTooLow(f"report needs order >= 2, got {order}")
     seed = require_count(seed, "seed")
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, dtype=np.uint64)
-    names = (
-        "coefficient_bound",
-        "pommerenke",
-        "ratio_positive",
-        "bounded_turning",
-        "starlike",
-        "close_to_convex",
-    )
-    worst = dict.fromkeys(names, np.inf)
-    violations = dict.fromkeys(names, 0)
+    checks: dict = {}
     g = convex_extremal(order + 1).coeffs
     kk = np.arange(2, order + 2, dtype=float)  # k of each a_k, k >= 2, of the constructed f
 
@@ -301,17 +292,13 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
             "close_to_convex": growth(_close_to_convex_rows(c, g), kk),
         }
         for name, m in sample_worst.items():
-            worst[name] = min(worst[name], float(m.min()))
-            violations[name] += int(np.count_nonzero(m < -VIOLATION_EPS))
-
-    checks = {
-        name: {"violations": violations[name], "worst_margin": float(worst[name])}
-        for name in names
-    }
+            check = checks.setdefault(name, {"violations": 0, "worst_margin": np.inf})
+            check["violations"] += int(np.count_nonzero(m < -VIOLATION_EPS))
+            check["worst_margin"] = min(check["worst_margin"], float(m.min()))
     return {
         "checks": checks,
         "order": order,
         "samples": n_samples,
         "seed": seed,
-        "total_violations": int(sum(violations.values())),
+        "total_violations": sum(c["violations"] for c in checks.values()),
     }

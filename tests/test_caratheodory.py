@@ -34,8 +34,10 @@ from schlicht.caratheodory import (
     measure_to_dict,
 )
 from schlicht.errors import (
+    ConstantDenominatorZero,
     InvalidMeasure,
     InvalidParameter,
+    NonFiniteResult,
     NotCaratheodoryNormalized,
     OrderTooLow,
 )
@@ -85,6 +87,14 @@ class TestHerglotzMeasure:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidMeasure):
             HerglotzMeasure(((0.0, 1.5), (1.0, -0.5)))
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [((), "at least one atom"), (((np.nan, 1.0),), "finite"), (((0.0, np.nan),), "finite")],
+    )
+    def test_empty_and_non_finite_rejected(self, atoms, message):
+        with pytest.raises(InvalidMeasure, match=message):
+            HerglotzMeasure(atoms)
 
     def test_angles_canonicalized(self):
         m = HerglotzMeasure(((2 * np.pi + 0.5, 1.0),))
@@ -264,8 +274,16 @@ class TestPreserve:
             preserve("power", h, -1.5)
         with pytest.raises(InvalidParameter):
             preserve("power_product", h, 0.7, h=h, tau=0.7)
+        for kwargs in ({}, {"h": h}, {"tau": 0.2}):
+            with pytest.raises(InvalidParameter, match="needs h and tau"):
+                preserve("power_product", h, 0.5, **kwargs)
         with pytest.raises(InvalidParameter):
             preserve("vii", h, 0.5)
+
+    def test_recenter_at_a_zero_of_g(self):
+        # 1 + 2z vanishes at -1/2
+        with pytest.raises(ConstantDenominatorZero, match="vanishes at the new center"):
+            preserve("recenter", moebius(1), -0.5)
 
     def test_requires_unit_constant(self):
         with pytest.raises(NotCaratheodoryNormalized):
@@ -347,6 +365,8 @@ class TestBoundChecks:
     def test_order_too_low(self):
         with pytest.raises(OrderTooLow):
             check_pommerenke(constant(1.0, 1))
+        with pytest.raises(OrderTooLow):
+            check_coefficient_bound(constant(1.0, 0))
 
     def test_requires_caratheodory(self):
         with pytest.raises(NotCaratheodoryNormalized):
@@ -395,9 +415,21 @@ class TestPommerenkeExtremal:
             pommerenke_extremal(2.5, 1.0, order=4)
         with pytest.raises(InvalidParameter):
             pommerenke_extremal(1.0, 0.5, order=4)
+        with pytest.raises(OrderTooLow):
+            pommerenke_extremal(1.0, 1.0, order=1)
+        # NaN passes both range tests, so the parameters refuse it up front
+        for c1, eps in ((np.nan, 1.0), (1.0, complex(np.nan, 0.0))):
+            with pytest.raises(InvalidParameter, match="finite complex"):
+                pommerenke_extremal(c1, eps, order=4)
 
 
 class TestSchwarzChecks:
+    def test_overflow_is_a_computation_error(self):
+        # |theta|^2 overflows, so the derivative bound would read -inf
+        theta = SchwarzFunction(TruncatedSeries([0.0, 1e-160, 1e160]))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult):
+            schwarz_checks(theta, radii=(0.3,))
+
     def test_rotation_is_equality_case(self):
         theta = SchwarzFunction(linear(16))
         magnitude, derivative = schwarz_checks(theta)

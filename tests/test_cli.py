@@ -323,11 +323,19 @@ HUGE = json.dumps({"order": 4, "coeffs": [[0, 0], [1, 0]] + [[1e200, 0]] * 3})
         (["transform", "omit", "--xi", "nan"], OVERFLOW, 2),
         (["transform", "autom", "--sigma", "nan"], OVERFLOW, 2),
         (["functional", "covering", "--xi", "nan"], OVERFLOW, 2),
+        # a computed series or report that overflows is a failed
+        # computation; a non-finite coefficient read from JSON is bad input
+        (["transform", "sqrt"], HUGE, 1),
+        (["transform", "convolve", "--with", "{tmp}/huge.json"], HUGE, 1),
+        (["functional", "covering", "--xi", "1e-320", "--function", "koebe"], "", 1),
+        (["transform", "sqrt"], '{"order": 1, "coeffs": [[0, 0], [Infinity, 0]]}', 2),
+        (["transform", "sqrt"], '{"order": 1, "coeffs": [[0, 0], [1e400, 0]]}', 2),
     ],
 )
-def test_non_finite_gives_one_error_line(argv, stdin, code):
+def test_non_finite_gives_one_error_line(argv, stdin, code, tmp_path):
     # no NaN or Infinity on stdout, no warning or traceback on stderr
-    proc = run_cli(*argv, stdin=stdin)
+    (tmp_path / "huge.json").write_text(HUGE, encoding="utf-8")
+    proc = run_cli(*[a.replace("{tmp}", str(tmp_path)) for a in argv], stdin=stdin)
     assert proc.returncode == code
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")

@@ -260,9 +260,14 @@ class TestReportShape:
     def test_report_requires_nonnegative_value(self):
         from schlicht import MarginReport
 
-        for value in (-1.0, math.nan, math.inf):
-            with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter):
+            MarginReport("bad", -1.0, 0.0)
+        # a non-finite value or bound is an overflow, not bad input
+        for value in (math.nan, math.inf):
+            with pytest.raises(NonFiniteResult):
                 MarginReport("bad", value, 0.0)
+            with pytest.raises(NonFiniteResult):
+                MarginReport("bad", 1.0, -value)
 
     def test_to_dict_roundtrips_fields(self):
         rep = fekete_szego(koebe(4), 0.5)

@@ -58,6 +58,8 @@ MISSING = "{tmp}/missing.json"
 OVERFLOW = json.dumps({"order": 3, "coeffs": [[0, 0], [1, 0], [1e308, 0], [1e308, 0]]})
 #: a_2 = a_3 = a_4 = 1e200: a_2^2 and a_2 a_4 overflow
 HUGE = json.dumps({"order": 4, "coeffs": [[0, 0], [1, 0]] + [[1e200, 0]] * 3})
+#: JSON Infinity, which Python's json module reads as a float
+INFINITY = '{"order": 2, "coeffs": [[0, 0], [1, 0], [Infinity, 0]]}'
 
 CASES = [
     # build: every stock tag, the default order, an unknown tag
@@ -84,6 +86,11 @@ CASES = [
     ("transform-omit-unstable", ["transform", "omit", "--xi", "0.3"], KOEBE16, {}),
     ("transform-omit-nan", ["transform", "omit", "--xi", "nan"], KOEBE8, {}),
     ("transform-sqrt", ["transform", "sqrt"], KOEBE8, {}),
+    # a computed overflow exits 1, a non-finite input exits 2
+    ("transform-sqrt-overflow", ["transform", "sqrt"], HUGE, {}),
+    ("transform-sqrt-infinity-input", ["transform", "sqrt"], INFINITY, {}),
+    ("transform-convolve-overflow", ["transform", "convolve", "--with", "{tmp}/huge.json"], HUGE,
+     {"huge.json": HUGE}),
     ("transform-libera", ["transform", "libera"], KOEBE16, {}),
     ("transform-bernardi", ["transform", "bernardi", "--gamma", "0.5"], THMB16, {}),
     ("transform-convolve", ["transform", "convolve", "--with", "{tmp}/g.json"], KOEBE16, WITH_FILE),
@@ -215,6 +222,8 @@ CASES = [
                                "--order", "16"], "", {}),
     ("functional-covering", ["functional", "covering", "--xi", "-0.25", "--function", "koebe",
                              "--order", "8"], "", {}),
+    ("functional-covering-tiny-xi", ["functional", "covering", "--xi", "1e-320",
+                                     "--function", "koebe"], "", {}),
     ("functional-covering-no-xi", ["functional", "covering", "--function", "koebe"], "", {}),
     # sample and report
     ("sample-series", ["sample", "--seed", "7", "--atoms", "3", "--order", "16"], "", {}),

@@ -141,6 +141,13 @@ class TestClassPredicate:
         with pytest.raises(InvalidParameter):
             class_predicate("typal", koebe(8), 0.5)
 
+    def test_vanishing_denominator(self):
+        # z + 2z^2 vanishes at -1/2, a sample of the 8-point circle r = 1/2
+        f = TruncatedSeries([0.0, 1.0, 2.0])
+        with np.errstate(all="ignore"), \
+                pytest.raises(EvaluationSingularity, match="denominator vanished"):
+            class_predicate("starlike", f, 0.5, 8)
+
     def test_hyphenated_alias(self):
         f = koebe(32)
         got = class_predicate("close-to-convex", f, 0.3, g=f)

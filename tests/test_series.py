@@ -32,6 +32,7 @@ from schlicht.errors import (
     CompositionRequiresVanishingConstant,
     DivisionBySingularSeries,
     InvalidParameter,
+    NonFiniteResult,
 )
 from schlicht.series import (
     constant,
@@ -64,8 +65,12 @@ class TestConstruction:
             TruncatedSeries([])
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidParameter):
+        # a computed series that overflows is a failed computation; the
+        # same values read from JSON are bad input
+        with pytest.raises(NonFiniteResult):
             TruncatedSeries([1.0, np.inf])
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            series_from_dict({"order": 1, "coeffs": [[0, 0], [float("inf"), 0]]})
 
     def test_normalized_requires_exact_zero_and_one(self):
         NormalizedSeries([0.0, 1.0, 5.0])
@@ -143,6 +148,12 @@ class TestDivide:
     def test_zero_constant_divisor_rejected(self):
         with pytest.raises(DivisionBySingularSeries):
             divide(koebe(8), TruncatedSeries([0.0, 1.0]))
+
+    def test_unstable_divisor_rejected(self):
+        # |b_0| = 1e-11 passes the constant-term test, but the quotient's
+        # coefficients grow like 1e11^k and do not multiply back
+        with pytest.raises(DivisionBySingularSeries, match="numerically unstable"):
+            divide(koebe(8), TruncatedSeries([1e-11, 1.0] + [0.0] * 7))
 
     def test_koebe_from_geometric_square(self):
         # z / (1-z)^2 must reproduce a_n = n

@@ -161,6 +161,12 @@ class TestDiskAutomorphism:
         f = koebe(16)
         assert np.array_equal(apply(DiskAutomorphism(0.0), f).coeffs, f.coeffs)
 
+    def test_critical_center_rejected(self):
+        # the derivative of z + 2z^2 vanishes at -1/4
+        f = TruncatedSeries([0.0, 1.0, 2.0])
+        with pytest.raises(InvalidParameter, match="derivative vanishes"):
+            apply(DiskAutomorphism(-0.25), f)
+
 
 class TestOmittedValue:
     def test_koebe_quarter_point(self):
