@@ -10,7 +10,6 @@ from .caratheodory import (
     SchwarzFunction,
     check_coefficient_bound,
     check_pommerenke,
-    evaluate_measure,
     h_to_schwarz,
     herglotz_to_series,
     janowski,
@@ -27,7 +26,6 @@ from .functionals import (
     covering_check,
     fekete_szego,
     hankel,
-    odd_c5,
 )
 from .probe import (
     RadiusResult,
@@ -36,7 +34,6 @@ from .probe import (
     class_radius,
     injectivity_probe,
     local_univalence_radius,
-    min_real_part,
     partial_sum,
     radius_solve,
 )
@@ -49,7 +46,6 @@ from .series import (
     divide,
     evaluate,
     evaluate_many,
-    integrate_from_zero,
     multiply,
     principal_log,
     principal_power,
@@ -74,7 +70,6 @@ from .transforms import (
     iterate_alpha,
     iterate_sigma,
     libera,
-    libera_kernel,
     linear_sum,
 )
 from .zoo import (

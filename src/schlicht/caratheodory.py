@@ -141,22 +141,6 @@ def _herglotz_rows(angles: np.ndarray, weights: np.ndarray, order: int) -> np.nd
     return c
 
 
-def evaluate_measure(m: HerglotzMeasure, z):
-    """Exact kernel evaluation sum_j mu_j (e^{it_j} + z)/(e^{it_j} - z).
-
-    Accepts a scalar or an array of points with |z| < 1; this is the
-    untruncated counterpart of herglotz_to_series.
-    """
-    zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
-    e = np.exp(1j * m.angles)
-    vals = (e[:, None] + flat[None, :]) / (e[:, None] - flat[None, :])
-    out = m.weights @ vals
-    if zs.ndim == 0:
-        return complex(out[0])
-    return out.reshape(zs.shape)
-
-
 def require_caratheodory(h: TruncatedSeries) -> None:
     """Raise NotCaratheodoryNormalized unless |c_0 - 1| <= 1e-12."""
     if abs(h.coeffs[0] - 1.0) > 1e-12:
@@ -220,16 +204,7 @@ def h_to_schwarz(h: TruncatedSeries) -> SchwarzFunction:
     return SchwarzFunction(TruncatedSeries(out))
 
 
-_PRESERVE_ALIASES = {
-    "i": "rotate",
-    "ii": "shrink",
-    "iii": "recenter",
-    "iv": "value_automorphism",
-    "v": "power",
-    "vi": "power_product",
-}
-
-PRESERVE_KINDS = tuple(_PRESERVE_ALIASES.values())
+PRESERVE_KINDS = ("rotate", "shrink", "recenter", "value_automorphism", "power", "power_product")
 
 
 def _snap_unit_constant(coeffs: np.ndarray) -> TruncatedSeries:
@@ -244,11 +219,11 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
              tau: float | None = None) -> TruncatedSeries:
     """The operations that keep the positive-real-part class stable.
 
-    kind is one of PRESERVE_KINDS (roman aliases i..vi accepted):
+    kind is one of PRESERVE_KINDS, spelled exactly as there:
 
     - rotate:              g(e^{it} z), t real
     - shrink:              g(t z), t in [-1, 1]
-    - recenter:            g((z + t)/(1 + conj(t) z)) / g(t), |t| < 1
+    - recenter:            g((z + t)/(1 + conj(t) z)) / g(t), t complex, |t| < 1
     - value_automorphism:  (g + it)/(1 + it g), t real
     - power:               g^t, t in [-1, 1]
     - power_product:       g^t h^tau, t, tau, t + tau in [0, 1]
@@ -257,12 +232,11 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
     final division where rounding could leave residue below 1e-12).
     """
     require_caratheodory(g)
-    kind = _PRESERVE_ALIASES.get(kind, kind)
     if kind not in PRESERVE_KINDS:
         raise InvalidParameter(f"unknown preserve kind: {kind!r}")
     n = g.order
     if kind == "recenter":
-        moved = mobius_recompose(g, t)
+        moved = mobius_recompose(g, require_complex(t, "t"))
         center = moved.coeffs[0]
         if abs(center) <= 1e-12:
             raise ConstantDenominatorZero("g vanishes at the new center")
@@ -374,7 +348,7 @@ def pommerenke_extremal(c1: complex, eps: complex, order: int = DEFAULT_ORDER) -
         raise InvalidParameter("|c1| must not exceed 2")
     if abs(abs(eps) - 1.0) > 1e-9:
         raise InvalidParameter("eps must be unimodular")
-    if order < 2:
+    if require_count(order, "order") < 2:
         raise OrderTooLow("need order >= 2")
     num = np.zeros(order + 1, dtype=complex)
     den = np.zeros(order + 1, dtype=complex)

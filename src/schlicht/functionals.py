@@ -14,7 +14,13 @@ import numpy as np
 
 from .caratheodory import MarginReport
 from .errors import InvalidParameter, OrderTooLow
-from .series import TruncatedSeries, require_complex, require_count, require_normalized
+from .series import (
+    TruncatedSeries,
+    require_complex,
+    require_count,
+    require_normalized,
+    require_real,
+)
 
 
 def _coeff(f: TruncatedSeries, k: int) -> complex:
@@ -33,21 +39,13 @@ def fekete_szego(f: TruncatedSeries, alpha: float) -> MarginReport:
     1 + 2 exp(-2 alpha/(1 - alpha)) on [0, 1], with the alpha = 1
     endpoint taken as its limit value 1."""
     _require_normalized_order(f, 3)
+    alpha = require_real(alpha, "alpha")
     if not 0 <= alpha <= 1:
         raise InvalidParameter("alpha must lie in [0, 1]")
     a2 = _coeff(f, 2)
     value = abs(_coeff(f, 3) - alpha * (a2 * a2))
     bound = 1.0 if alpha == 1 else 1.0 + 2.0 * math.exp(-2.0 * alpha / (1.0 - alpha))
     return MarginReport("fekete_szego", value, bound)
-
-
-def odd_c5(f: TruncatedSeries) -> complex:
-    """Fifth coefficient of the odd square-root transform of f:
-    (a_3 - a_2^2/4)/2."""
-    _require_normalized_order(f, 3)
-    a2 = _coeff(f, 2)
-    a3 = _coeff(f, 3)
-    return (a3 - a2**2 / 4.0) / 2.0
 
 
 def hankel(f: TruncatedSeries, q: int, n: int) -> complex:

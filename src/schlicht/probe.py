@@ -12,12 +12,13 @@ bisects it, both through _holds: each sample is checked finite, then
 put to its kind's test.
 
 Every probe sees a function on the same equispaced circle |z| = r,
-r in (0, 1), at 8 or more angles, through one kernel, circle_values.
-It reads a truncated series, or a named function's closed forms for F
-and F' and its series otherwise; anything else is refused.  A series
-is summed on the circle by one inverse DFT of its scaled coefficients.
-A radius solve builds its sampler once (_circle_sampler: derivative
-coefficients, exponents, unit roots) and only rescales at each step.
+r in (0, 1), at an integer count of 8 or more angles, through one
+kernel, circle_values.  It reads a truncated series, or a named
+function's closed forms for F and F' and its series otherwise; anything
+else is refused.  A series is summed on the circle by one inverse DFT
+of its scaled coefficients.  A radius solve builds its sampler once
+(_circle_sampler: derivative coefficients, exponents, unit roots) and
+only rescales at each step.
 
 Injectivity needs f' free of zeros inside the circle and a simple
 polyline through the samples (_polyline_injective), which visits no
@@ -38,7 +39,7 @@ from .errors import (
     EvaluationSingularity,
     InvalidParameter,
 )
-from .series import NormalizedSeries, TruncatedSeries, require_real
+from .series import NormalizedSeries, TruncatedSeries, require_count, require_real
 
 #: Strictness for "positive real part" style predicates.
 POSITIVITY_EPS = 1e-9
@@ -54,7 +55,7 @@ MAX_BISECTIONS = 64
 
 
 def _require_angles(n_angles: int) -> None:
-    if n_angles < 8:
+    if require_count(n_angles, "n_angles") < 8:
         raise InvalidParameter("need at least 8 angles")
 
 
@@ -180,14 +181,6 @@ class RadiusResult:
             "predicate": self.predicate_name,
             "capped": self.capped,
         }
-
-
-def min_real_part(F, r: float, n_angles: int = 256) -> float:
-    """Minimum of Re F over n_angles equispaced points on |z| = r.
-
-    Raises EvaluationSingularity when a sample comes back non-finite.
-    """
-    return float(np.min(_finite(circle_values(F, r, n_angles), "F").real))
 
 
 @dataclass(frozen=True)

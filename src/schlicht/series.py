@@ -216,13 +216,6 @@ def differentiate(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(k * f.coeffs[1:])
 
 
-def integrate_from_zero(f: TruncatedSeries) -> TruncatedSeries:
-    """Antiderivative vanishing at 0; output order is order + 1."""
-    out = np.zeros(f.order + 2, dtype=complex)
-    out[1:] = f.coeffs / np.arange(1, f.order + 2)
-    return TruncatedSeries(out)
-
-
 def _require_off_branch_cut(a0: complex) -> None:
     if abs(a0) <= CONSTANT_TERM_EPS or (a0.imag == 0 and a0.real < 0):
         raise BranchPointAtOrigin(

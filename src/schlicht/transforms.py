@@ -8,6 +8,10 @@ normalized result.  libera and bernardi are shorthands for apply.  The
 command line reaches them through cli.TRANSFORMS, which maps each
 transform kind to the flags it needs and the map from the input series
 to the output.
+
+linear_sum, a plain function for the series that apply refuses, shares
+LinearSum's weight check and formula; iterate_alpha and iterate_sigma
+share one loop of averaging stages.
 """
 
 from __future__ import annotations
@@ -135,10 +139,7 @@ class LinearSum:
     other: TruncatedSeries
 
     def __post_init__(self) -> None:
-        t = require_real(self.t, "t")
-        if not 0 <= t <= 1:
-            raise InvalidParameter("linear sum weight must lie in [0, 1]")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _linear_weight(self.t))
         require_normalized(self.other)
 
 
@@ -200,7 +201,7 @@ _MAPS = {
     RangeCompose: lambda spec, f: _finish_normalized(compose(spec.phi, f).coeffs),
     Libera: lambda spec, f: _average(f, 1.0),
     Bernardi: lambda spec, f: _average(f, spec.gamma),
-    LinearSum: lambda spec, f: _finish_normalized(linear_sum(f, spec.other, spec.t).coeffs),
+    LinearSum: lambda spec, f: _finish_normalized(_mix(f, spec.other, spec.t)),
 }
 
 
@@ -227,29 +228,38 @@ def bernardi(f: TruncatedSeries, gamma: float) -> NormalizedSeries:
     return apply(Bernardi(gamma), f)
 
 
-def libera_kernel(order: int) -> NormalizedSeries:
-    """The series whose Hadamard product implements libera:
-    z + sum_{k>=2} 2/(k+1) z^k."""
-    require_count(order, "order", positive=True)
-    out = np.zeros(order + 1, dtype=complex)
-    k = np.arange(1, order + 1)
-    out[1:] = 2.0 / (k + 1.0)
-    return NormalizedSeries(out)
-
-
 def convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise (Hadamard) product, truncated to the min order."""
     n = min(a.order, b.order)
     return TruncatedSeries(a.coeffs[: n + 1] * b.coeffs[: n + 1])
 
 
-def linear_sum(phi: TruncatedSeries, psi: TruncatedSeries, t: float) -> TruncatedSeries:
-    """(1 - t) phi + t psi for t in [0, 1], truncated to the min order."""
+def _linear_weight(t) -> float:
     t = require_real(t, "t")
     if not 0 <= t <= 1:
         raise InvalidParameter("linear sum weight must lie in [0, 1]")
+    return t
+
+
+def _mix(phi: TruncatedSeries, psi: TruncatedSeries, t: float) -> np.ndarray:
+    """Coefficients of (1 - t) phi + t psi, truncated to the min order."""
     n = min(phi.order, psi.order)
-    return TruncatedSeries((1.0 - t) * phi.coeffs[: n + 1] + t * psi.coeffs[: n + 1])
+    return (1.0 - t) * phi.coeffs[: n + 1] + t * psi.coeffs[: n + 1]
+
+
+def linear_sum(phi: TruncatedSeries, psi: TruncatedSeries, t: float) -> TruncatedSeries:
+    """(1 - t) phi + t psi for t in [0, 1], truncated to the min order."""
+    return TruncatedSeries(_mix(phi, psi, _linear_weight(t)))
+
+
+def _average_stages(p: TruncatedSeries, exponents) -> TruncatedSeries:
+    """p through one averaging stage c_k -> a c_k/(a + k) per exponent a."""
+    require_caratheodory(p)
+    k = np.arange(p.order + 1)
+    out = np.array(p.coeffs)
+    for a in exponents:
+        out = out * (a / (a + k))
+    return TruncatedSeries(out)
 
 
 def iterate_alpha(p: TruncatedSeries, alpha: float, n: int) -> TruncatedSeries:
@@ -263,14 +273,7 @@ def iterate_alpha(p: TruncatedSeries, alpha: float, n: int) -> TruncatedSeries:
     alpha = require_real(alpha, "alpha")
     if alpha <= 0:
         raise InvalidParameter("alpha must be positive")
-    n = require_count(n, "iteration count")
-    require_caratheodory(p)
-    k = np.arange(p.order + 1)
-    stage = alpha / (alpha + k)
-    out = np.array(p.coeffs)
-    for _ in range(n):
-        out = out * stage
-    return TruncatedSeries(out)
+    return _average_stages(p, [alpha] * require_count(n, "iteration count"))
 
 
 def iterate_sigma(p: TruncatedSeries, sigma: float, n: int) -> TruncatedSeries:
@@ -283,10 +286,4 @@ def iterate_sigma(p: TruncatedSeries, sigma: float, n: int) -> TruncatedSeries:
     n = require_count(n, "iteration count")
     if sigma <= n - 1:
         raise InvalidParameter("need sigma > n - 1")
-    require_caratheodory(p)
-    k = np.arange(p.order + 1)
-    out = np.array(p.coeffs)
-    for m in range(1, n + 1):
-        a = sigma - m + 1
-        out = out * (a / (a + k))
-    return TruncatedSeries(out)
+    return _average_stages(p, [sigma - m + 1 for m in range(1, n + 1)])

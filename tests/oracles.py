@@ -183,6 +183,13 @@ def herglotz_coeffs(angles, weights, order: int) -> np.ndarray:
     return c
 
 
+def herglotz_kernel_values(angles, weights, zs: np.ndarray) -> np.ndarray:
+    """The untruncated sum_j mu_j (e^{it_j} + z)/(e^{it_j} - z) at points
+    |z| < 1, the function whose Taylor coefficients herglotz_coeffs gives."""
+    e = np.exp(1j * np.asarray(angles))[:, None]
+    return np.asarray(weights) @ ((e + zs[None, :]) / (e - zs[None, :]))
+
+
 def _normalized(n: int) -> np.ndarray:
     out = np.zeros(n + 1, dtype=complex)
     out[1] = 1.0

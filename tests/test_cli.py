@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import schlicht
 from schlicht import circle_values, class_radius, local_univalence_radius, named_function
 from schlicht.probe import circle_angles
 from schlicht.cli import MAX_ANGLES, MAX_ATOMS, MAX_ORDER, MAX_SAMPLES, MAX_STAGES, main
@@ -522,4 +524,32 @@ def test_fft_stays_unimported_outside_the_probes():
     """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: The public names of the package, submodules aside.  A name joins this
+#: list in the same change that gives it a caller.
+PUBLIC_NAMES = [
+    "Bernardi", "Conjugation", "DEFAULT_ORDER", "Dilation", "DiskAutomorphism",
+    "HerglotzMeasure", "JanowskiParams", "Libera", "LinearSum", "MarginReport",
+    "NamedFunction", "NormalizedSeries", "OmittedValue", "RadiusResult", "RangeCompose",
+    "Rotation", "SchlichtError", "SchwarzFunction", "SquareRoot", "TruncatedSeries",
+    "alexander_forward", "alexander_inverse", "apply", "bernardi", "bieberbach_check",
+    "check_coefficient_bound", "check_pommerenke", "circle_values", "class_predicate",
+    "class_radius", "compose", "convex_extremal", "convolve", "covering_check",
+    "differentiate", "divide", "evaluate", "evaluate_many", "fekete_szego",
+    "from_bounded_turning", "from_close_to_convex", "from_ratio_positive", "from_starlike",
+    "h_to_schwarz", "hankel", "herglotz_to_series", "identity", "injectivity_probe",
+    "iterate_alpha", "iterate_sigma", "janowski", "koebe", "libera", "linear_sum",
+    "local_univalence_radius", "moebius", "multiply", "named_function", "partial_sum",
+    "pommerenke_extremal", "preserve", "principal_log", "principal_power", "radius_solve",
+    "ratio_extremal", "sample", "sample_measure", "schwarz_checks", "schwarz_to_h",
+    "series_from_dict", "series_to_dict", "sqrt_even_transform", "turning_extremal",
+]
+
+
+def test_public_surface_is_pinned():
+    names = sorted(n for n in vars(schlicht)
+                   if not n.startswith("_") and not inspect.ismodule(getattr(schlicht, n)))
+    assert len(PUBLIC_NAMES) == 73
+    assert names == PUBLIC_NAMES
 

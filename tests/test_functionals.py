@@ -5,6 +5,8 @@ import pytest
 
 from schlicht import (
     SchwarzFunction,
+    SquareRoot,
+    apply,
     bieberbach_check,
     check_coefficient_bound,
     check_pommerenke,
@@ -15,10 +17,8 @@ from schlicht import (
     identity,
     koebe,
     moebius,
-    odd_c5,
     sample,
     schwarz_checks,
-    sqrt_even_transform,
 )
 from schlicht.caratheodory import VIOLATION_EPS
 from schlicht.errors import InvalidParameter, NonFiniteResult, OrderTooLow
@@ -74,32 +74,36 @@ class TestFeketeSzego:
         with pytest.raises(InvalidParameter):
             fekete_szego(identity(4), 1.5)
 
+    @pytest.mark.parametrize("alpha", [0.5 + 0j, "0.5", None])
+    def test_alpha_is_a_real_number(self, alpha):
+        with pytest.raises(InvalidParameter, match="alpha must be a finite real number"):
+            fekete_szego(koebe(8), alpha)
+
 
 class TestOddC5:
+    """The fifth coefficient of the odd square-root transform,
+    apply(SquareRoot(), f).coeffs[5]."""
+
     def test_koebe_value(self):
-        assert abs(odd_c5(koebe(8)) - 1.0) < 1e-15
+        assert abs(apply(SquareRoot(), koebe(8)).coeffs[5] - 1.0) < 1e-15
 
     def test_identity_zero(self):
-        assert odd_c5(identity(4)) == 0.0
+        assert apply(SquareRoot(), identity(6)).coeffs[5] == 0.0
 
     def test_matches_square_root_transform(self, rng):
         for _ in range(20):
             f = TruncatedSeries(random_normalized_coeffs(rng, 12))
-            got = odd_c5(f)
-            want = sqrt_even_transform(f).coeffs[5]
-            assert abs(got - want) < 1e-10
+            got = apply(SquareRoot(), f).coeffs[5]
+            a2, a3 = f.coeffs[2], f.coeffs[3]
+            assert abs(got - (a3 - a2**2 / 4.0) / 2.0) < 1e-10
 
     def test_starlike_sweep_respects_constant(self):
         worst = 0.0
         for seed in range(200):
             h = sample(seed, seed % 6 + 1, order=8)
             f = from_starlike(h)
-            worst = max(worst, abs(odd_c5(f)))
+            worst = max(worst, abs(apply(SquareRoot(), f).coeffs[5]))
         assert worst <= ODD_C5_CONSTANT + 1e-9
-
-    def test_order_too_low(self):
-        with pytest.raises(OrderTooLow):
-            odd_c5(identity(2))
 
 
 class TestHankel:

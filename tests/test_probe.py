@@ -19,12 +19,12 @@ from schlicht import (
     injectivity_probe,
     koebe,
     local_univalence_radius,
-    min_real_part,
     moebius,
     named_function,
     partial_sum,
     radius_solve,
     sample,
+    schwarz_checks,
 )
 from schlicht.errors import (
     DegenerateAtCenter,
@@ -51,7 +51,6 @@ from schlicht.series import (
     constant,
     differentiate,
     evaluate_many,
-    integrate_from_zero,
 )
 
 from oracles import (
@@ -84,36 +83,51 @@ class TestCircle:
         with pytest.raises(InvalidParameter):
             injectivity_probe(koebe(8), 0.5, n_angles=n_angles)
 
+    @pytest.mark.parametrize("call", [
+        lambda: class_predicate("starlike", koebe(8), 0.5, 100.5),
+        lambda: class_radius("starlike", koebe(8), n_angles=64.0),
+        lambda: injectivity_probe(koebe(8), 0.5, 100.5),
+        lambda: circle(0.5, 8.5),
+        lambda: schwarz_checks(identity(8), n_angles=8.5),
+    ], ids=["class_predicate", "class_radius", "injectivity_probe", "circle", "schwarz_checks"])
+    def test_angle_count_is_an_integer(self, call):
+        with pytest.raises(InvalidParameter, match="n_angles must be a nonnegative integer"):
+            call()
+
 
 class TestMinRealPart:
+    """The minimum real part on a sampled circle, circle_values(F, r,
+    n).real.min(): the quantity that the class predicates threshold."""
+
     def test_moebius_at_half(self):
         # Moebius maps |z|=r to a circle; the minimum sits at z=-r
-        assert abs(min_real_part(moebius(64), 0.5) - 1.0 / 3.0) < 1e-12
+        assert abs(circle_values(moebius(64), 0.5, 256).real.min() - 1.0 / 3.0) < 1e-12
 
     def test_constant_one(self):
         for r in (0.3, 0.9):
-            assert min_real_part(constant(1.0, 16), r) == 1.0
+            assert circle_values(constant(1.0, 16), r, 256).real.min() == 1.0
 
     def test_turning_derivative_near_boundary(self):
         # thmB's derivative (1+z)/(1-z), read from its closed form
         nf = named_function("thmB", 8)
         f_prime = NamedFunction("thmB'", differentiate(nf.series), nf.closed_form_derivative,
                                 lambda z: 2 / (1 - z) ** 2)
-        got = min_real_part(f_prime, 0.999)
+        got = circle_values(f_prime, 0.999, 256).real.min()
         want = (1.0 - 0.999) / (1.0 + 0.999)
         assert 0.0 < got < 1e-3
         assert abs(got - want) < 1e-6
 
     def test_pole_raises(self):
         bad = lambda zs: np.where(np.isclose(zs, 0.3), np.inf + 0j, 1.0 + 0j)
+        pole = NamedFunction("pole", constant(1.0, 8), bad, bad)
         with pytest.raises(EvaluationSingularity):
-            min_real_part(NamedFunction("pole", constant(1.0, 8), bad, bad), 0.3)
+            class_predicate("bounded_turning", pole, 0.3)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParameter):
-            min_real_part(moebius(8), 1.0)
+            circle_values(moebius(8), 1.0, 256)
         with pytest.raises(InvalidParameter):
-            min_real_part(moebius(8), 0.5, n_angles=4)
+            circle_values(moebius(8), 0.5, 4)
 
 
 class TestClassPredicate:
@@ -401,7 +415,6 @@ class TestCircleValues:
         # a probe reads a series or a named function's closed forms, not a callable
         square = lambda z: z * z
         for probe in (lambda: circle_values(square, 0.5, 16),
-                      lambda: min_real_part(square, 0.5),
                       lambda: class_predicate("ratio_positive", square, 0.5),
                       lambda: class_radius("ratio_positive", square)):
             with pytest.raises(InvalidParameter):
@@ -463,7 +476,8 @@ class TestTracesMatchHorner:
         # f' = (1 - z/0.95) g' for a convex g: a zero of f' at 0.95, where
         # the terms beyond n_angles are not small
         gp = differentiate(alexander_inverse(_starlike(order, order))).coeffs
-        f = integrate_from_zero(TruncatedSeries(np.convolve(gp, [1.0, -1 / 0.95])[: len(gp)]))
+        fp = np.convolve(gp, [1.0, -1 / 0.95])[: len(gp)]
+        f = TruncatedSeries(np.concatenate([[0.0], fp / np.arange(1, len(fp) + 1)]))
 
         def horner(r):
             vals = horner_values(f, circle(r, n_angles), 1)
@@ -625,9 +639,6 @@ class TestSamplers:
                 want = per_call_circle_values(f, r, n_angles, d)
                 assert np.array_equal(sampler(r), want), (d, r)
                 assert np.array_equal(circle_values(f, r, n_angles, d), want), (d, r)
-        for r in self.RADII:
-            assert min_real_part(f, r, n_angles) == float(np.min(
-                per_call_circle_values(f, r, n_angles).real))
 
     @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
                              ids=[c[0] for c in _sampler_functions()])

@@ -16,7 +16,6 @@ from schlicht import (
     evaluate,
     evaluate_many,
     from_starlike,
-    integrate_from_zero,
     koebe,
     moebius,
     multiply,
@@ -250,7 +249,8 @@ class TestCalculus:
         c = random_coeffs(rng, 12)
         c[0] = 0.0
         f = TruncatedSeries(c)
-        back = integrate_from_zero(differentiate(f))
+        d = differentiate(f).coeffs
+        back = TruncatedSeries(np.concatenate([[0.0], d / np.arange(1, len(d) + 1)]))
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 

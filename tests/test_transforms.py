@@ -14,6 +14,7 @@ from schlicht import (
     SquareRoot,
     apply,
     bernardi,
+    circle_values,
     convolve,
     evaluate_many,
     hankel,
@@ -22,20 +23,19 @@ from schlicht import (
     iterate_sigma,
     koebe,
     libera,
-    libera_kernel,
     linear_sum,
-    min_real_part,
     moebius,
     sample,
     sqrt_even_transform,
     turning_extremal,
 )
+from schlicht import transforms
 from schlicht.errors import (
     InvalidParameter,
     NotCaratheodoryNormalized,
     OmittedValueAttained,
 )
-from schlicht.series import TruncatedSeries, constant
+from schlicht.series import TruncatedSeries, constant, require_real
 
 from oracles import quadrature_coefficient_map, random_normalized_coeffs
 
@@ -250,7 +250,10 @@ class TestLibera:
 
     def test_is_convolution_with_kernel(self, rng):
         f = TruncatedSeries(random_normalized_coeffs(rng, 24))
-        via_kernel = convolve(libera_kernel(24), f)
+        # z + sum_{k>=2} 2/(k+1) z^k
+        kernel = np.zeros(25, dtype=complex)
+        kernel[1:] = 2.0 / (np.arange(1, 25) + 1.0)
+        via_kernel = convolve(TruncatedSeries(kernel), f)
         assert np.array_equal(libera(f).coeffs, via_kernel.coeffs)
 
     def test_apply_dispatch(self):
@@ -336,7 +339,7 @@ class TestLinearSum:
     def test_halfway_between_moebius_and_one_stays_positive(self):
         got = linear_sum(moebius(64), constant(1.0, 64), 0.5)
         assert np.max(np.abs(got.coeffs[1:] - 1.0)) < 1e-15
-        assert min_real_part(got, 0.9) > 0.0
+        assert circle_values(got, 0.9, 256).real.min() > 0.0
 
     def test_weight_domain(self):
         with pytest.raises(InvalidParameter):
@@ -346,6 +349,17 @@ class TestLinearSum:
         phi, psi = koebe(8), identity(8)
         got = apply(LinearSum(0.25, psi), phi)
         assert np.max(np.abs(got.coeffs - linear_sum(phi, psi, 0.25).coeffs)) == 0.0
+
+    def test_apply_checks_the_weight_once(self, monkeypatch):
+        checked = []
+
+        def spy(x, what):
+            checked.append(what)
+            return require_real(x, what)
+
+        monkeypatch.setattr(transforms, "require_real", spy)
+        apply(LinearSum(0.25, identity(8)), koebe(8))
+        assert checked == ["t"]
 
 
 class TestIterateAlpha:
@@ -437,7 +451,7 @@ class TestPositivityPreservation:
                 linear_sum(h, other, 0.4),
             ]
             for g in outputs:
-                assert min_real_part(g, 0.95) > -1e-9
+                assert circle_values(g, 0.95, 256).real.min() > -1e-9
 
 
 @pytest.mark.parametrize(
