@@ -10,6 +10,7 @@ with margin = bound - value, so a violation is a margin below
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -268,28 +269,123 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
 
 def sample_measure(rng_seed: int, n_atoms: int) -> HerglotzMeasure:
     """Deterministic random measure: angles uniform on [0, 2*pi),
-    weights from the flat simplex via sorted-uniform spacings.  A single
-    64-bit seed drives both draws (angles first, then weights)."""
-    angles, weights = _draw_measures([require_count(rng_seed, "seed")], n_atoms)
+    weights from the flat simplex via sorted-uniform spacings.  Both
+    draws (angles first, then weights) read exactly the stream of
+    np.random.default_rng(rng_seed), for a nonnegative seed of any size."""
+    words = _seed_words([require_count(rng_seed, "seed")])
+    angles, weights = _draw_measures(words, n_atoms)
     return HerglotzMeasure(tuple(zip(angles[0].tolist(), weights[0].tolist())))
 
 
 def sample(rng_seed: int, n_atoms: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Series of a random positive-real-part function; see sample_measure."""
-    seeds = [require_count(rng_seed, "seed")]
-    return TruncatedSeries(_sample_rows(seeds, n_atoms, require_count(order, "order"))[0])
+    words = _seed_words([require_count(rng_seed, "seed")])
+    return TruncatedSeries(_sample_rows(words, n_atoms, require_count(order, "order"))[0])
 
 
-def _draw_measures(rng_seeds, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < n, as a uint32 column."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# The constants of numpy.random.SeedSequence (after O'Neill's
+# seed_seq_fe): a pool of four uint32 words; hash step k of the entropy
+# xors with _ENTROPY_HASH[k] and multiplies by _ENTROPY_HASH[k + 1], and
+# output word k likewise with _OUTPUT_HASH.
+_POOL = 4
+_ENTROPY_INIT, _ENTROPY_MULT = 0x43B0D7E5, 0x931E8875
+_ENTROPY_HASH = _hash_chain(_ENTROPY_INIT, _ENTROPY_MULT, 4 * _POOL + 1)
+_OUTPUT_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Pool word src mixes into each other word dst at entropy hash step
+# 4 + 3 src + (the place of dst among the other three).  Word src does
+# not change meanwhile, so all four words mix in one pass and src is put
+# back; step 0 in its own column is a placeholder.
+_MIX_STEP = np.array([[4 + 3 * src + dst - (dst > src) if dst != src else 0
+                       for dst in range(_POOL)] for src in range(_POOL)])
+_MIX_XOR, _MIX_MUL = _ENTROPY_HASH[_MIX_STEP], _ENTROPY_HASH[_MIX_STEP + 1]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """Row b is np.random.SeedSequence(seeds[b]).generate_state(4,
+    np.uint64), the PCG64 seed of np.random.default_rng(seeds[b]), for
+    nonnegative int seeds of any size; the array is C-contiguous, so each
+    row is too.
+
+    SeedSequence hashes a seed's little-endian uint32 words with fixed
+    uint32 arithmetic, which numpy arrays wrap alike, so a block of seeds
+    hashes in a few array passes instead of one Python-level
+    SeedSequence per seed:
+    - the pool takes the first four words, zero-padded, which is what
+      numpy's hash of 0 fills a shorter seed's pool with;
+    - each pool word mixes into the other three in one pass;
+    - a seed of 2**128 or more mixes its words past the fourth into the
+      whole pool, masked to the seeds that have such a word.
+    """
+    ints = np.asarray(seeds, dtype=object).tolist()
+    n = max(_POOL, -(-max(ints).bit_length() // 32))
+    # entropy[i] is word i of every seed
+    entropy = np.frombuffer(b"".join([s.to_bytes(4 * n, "little") for s in ints]), "<u4")
+    entropy = entropy.reshape(len(ints), n).T
+    h = _ENTROPY_HASH
+    pool = _hashmix(entropy[:_POOL], h[:_POOL], h[1 : _POOL + 1])
+    for src in range(_POOL):
+        word = pool[src].copy()
+        pool = _mix(pool, _hashmix(word, _MIX_XOR[src], _MIX_MUL[src]))
+        pool[src] = word
+    if n > _POOL:
+        h = _hash_chain(_ENTROPY_INIT, _ENTROPY_MULT, 4 * n + 1)
+    for i in range(_POOL, n):
+        mixed = _mix(pool, _hashmix(entropy[i], h[4 * i : 4 * i + 4], h[4 * i + 1 : 4 * i + 5]))
+        # a seed's words end at its highest nonzero one
+        pool = np.where(entropy[i:].any(axis=0), mixed, pool)
+    out = _hashmix(np.concatenate([pool, pool]), _OUTPUT_HASH[:-1], _OUTPUT_HASH[1:])
+    # uint64 word j is uint32 words 2j (low) and 2j + 1 (high)
+    return np.ascontiguousarray((out[1::2].astype(np.uint64) << 32 | out[::2]).T)
+
+
+@functools.cache
+def _seed_words_sequence() -> type:
+    """The ISeedSequence whose instances hand PCG64 one row of
+    _seed_words.  Made on first use: importing numpy.random takes about
+    15 ms, which a CLI call that draws nothing should not pay."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks for exactly 4 words of np.uint64
+            return self.words
+
+    return SeedWords
+
+
+def _draw_measures(words: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Angles and weights, each of shape (batch, n_atoms), of the measure
-    sample_measure draws from each seed.  Every seed gets its own
-    generator and one draw of 2 n_atoms - 1 uniforms on [0, 1): first
-    the angles over 2*pi (the bits of uniform(0, 2*pi)), then the cuts
-    whose sorted spacings are the weights, a measure by construction."""
+    sample_measure draws from each seed, given the seeds' _seed_words.
+    Every seed gets its own PCG64 generator and one draw of 2 n_atoms - 1
+    uniforms on [0, 1): first the angles over 2*pi (the bits of
+    uniform(0, 2*pi)), then the cuts whose sorted spacings are the
+    weights, a measure by construction."""
     require_count(n_atoms, "n_atoms", positive=True)
-    u = np.empty((len(rng_seeds), 2 * n_atoms - 1))
-    for row, s in zip(u, rng_seeds):
-        row[:] = np.random.default_rng(int(s)).random(2 * n_atoms - 1)
+    u = np.empty((len(words), 2 * n_atoms - 1))
+    seed_words = _seed_words_sequence()
+    for row, w in zip(u, words):
+        row[:] = np.random.Generator(np.random.PCG64(seed_words(w))).random(2 * n_atoms - 1)
     edges = np.zeros((len(u), n_atoms + 1))
     edges[:, 1:-1] = np.sort(u[:, n_atoms:], axis=1)
     edges[:, -1] = 1.0
@@ -297,9 +393,10 @@ def _draw_measures(rng_seeds, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     return np.mod(2 * np.pi * u[:, :n_atoms], 2 * np.pi), weights
 
 
-def _sample_rows(rng_seeds, n_atoms: int, order: int) -> np.ndarray:
-    """Row b holds the coefficients of sample(rng_seeds[b], n_atoms, order)."""
-    return _herglotz_rows(*_draw_measures(rng_seeds, n_atoms), order)
+def _sample_rows(words: np.ndarray, n_atoms: int, order: int) -> np.ndarray:
+    """Row b holds the coefficients of sample(s_b, n_atoms, order), for
+    words[b] the _seed_words row of seed s_b."""
+    return _herglotz_rows(*_draw_measures(words, n_atoms), order)
 
 
 def check_coefficient_bound(h: TruncatedSeries) -> MarginReport:

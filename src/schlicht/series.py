@@ -127,8 +127,9 @@ def require_normalized(f: TruncatedSeries) -> None:
 
 
 def require_real(x, what: str) -> float:
-    """x as a float; InvalidParameter unless it is a finite real number."""
-    if isinstance(x, numbers.Real) and math.isfinite(float(x)):
+    """x as a float; InvalidParameter unless it is a finite real number,
+    not a bool."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(float(x)):
         return float(x)
     raise InvalidParameter(f"{what} must be a finite real number")
 
@@ -366,6 +367,8 @@ def series_from_dict(data: dict) -> TruncatedSeries:
         arr = np.array([complex(re, im) for re, im in rows], dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter("coefficients must be [re, im] pairs") from exc
+    if any(isinstance(part, bool) for row in rows for part in row):
+        raise InvalidParameter("coefficients must be numbers, not booleans")
     if not np.all(np.isfinite(arr)):
         raise InvalidParameter("coefficients must be finite")
     return TruncatedSeries(arr)

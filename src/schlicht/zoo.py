@@ -19,6 +19,7 @@ from .caratheodory import (
     _modulus,
     _pommerenke_terms,
     _sample_rows,
+    _seed_words,
     require_caratheodory,
 )
 from .errors import InvalidParameter, OrderTooLow
@@ -277,11 +278,11 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
 
     block = max(1, REPORT_BLOCK_COEFFS // (order + 1))
     for start in range(0, n_samples, block):
-        seeds = child_seeds[start : start + block]
-        c = np.empty((len(seeds), order + 1), dtype=complex)
+        words = _seed_words(child_seeds[start : start + block])
+        c = np.empty((len(words), order + 1), dtype=complex)
         for atoms in range(1, 9):
             group = slice((atoms - 1 - start) % 8, None, 8)
-            c[group] = _sample_rows(seeds[group], atoms, order)
+            c[group] = _sample_rows(words[group], atoms, order)
         pommerenke = [_pommerenke_terms(*c12) for c12 in c[:, 1:3].tolist()]
         sample_worst = {
             "coefficient_bound": (2.0 - _modulus(c[:, 1:])).min(axis=1),

@@ -29,6 +29,7 @@ from schlicht.caratheodory import (
     VIOLATION_EPS,
     _draw_measures,
     _sample_rows,
+    _seed_words,
     measure_to_dict,
 )
 from schlicht.errors import (
@@ -284,8 +285,18 @@ class TestPreserve:
             preserve("rotate", TruncatedSeries([2.0, 1.0]), 0.5)
 
 
-#: 64-bit seeds with the ends of their range drawn often.
-SEEDS = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+#: Seeds with the ends of the 64- and 128-bit ranges drawn often, and
+#: wider ones, whose words past the fourth SeedSequence mixes in last.
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200 + 7]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**320),
+    st.integers(min_value=0),
+)
+
+
+def seed_sequence_words(s: int) -> np.ndarray:
+    return np.random.SeedSequence(s).generate_state(4, np.uint64)
 
 
 class TestSampling:
@@ -294,13 +305,15 @@ class TestSampling:
     @given(st.lists(SEEDS, min_size=1, max_size=6), st.integers(1, 8), st.integers(0, 40))
     @settings(max_examples=150, deadline=None)
     def test_blocks_and_single_draws_match_the_oracle(self, seeds, atoms, order):
-        angles, weights = _draw_measures(seeds, atoms)
-        rows = _sample_rows(np.array(seeds, dtype=np.uint64), atoms, order)
+        words = _seed_words(seeds)
+        angles, weights = _draw_measures(words, atoms)
+        rows = _sample_rows(words, atoms, order)
         for i, s in enumerate(seeds):
             want_angles, want_weights = seeded_measure(s, atoms)
             got = sample_measure(s, atoms)
             coeffs = herglotz_coeffs(want_angles, want_weights, order)
             for a, b in (
+                (words[i], seed_sequence_words(s)),
                 (got.angles, want_angles),
                 (got.weights, want_weights),
                 (angles[i], want_angles),
@@ -309,6 +322,20 @@ class TestSampling:
                 (sample(s, atoms, order).coeffs, coeffs),
             ):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # report_suite hands over its seeds as a uint64 array
+        narrow = [i for i, s in enumerate(seeds) if s < 2**64]
+        if narrow:
+            as_array = _seed_words(np.array([seeds[i] for i in narrow], dtype=np.uint64))
+            assert np.array_equal(as_array, words[narrow])
+
+    def test_seed_words_of_a_mixed_width_block(self):
+        # a block whose seeds span one to eleven words: the words past the
+        # fourth reach only the rows that have them
+        seeds = [2**320 + 9, 0, 2**128, 5, 2**128 - 1, 2**200 + 7, 2**64, 2**32]
+        want = np.array([seed_sequence_words(s) for s in seeds])
+        assert np.array_equal(_seed_words(seeds), want)
+        for s, w in zip(seeds, want):
+            assert np.array_equal(_seed_words([s])[0], w)
 
     def test_single_atom_has_extremal_coefficients(self):
         for seed in (0, 7, 123):

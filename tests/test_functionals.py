@@ -79,6 +79,11 @@ class TestFeketeSzego:
         with pytest.raises(InvalidParameter, match="alpha must be a finite real number"):
             fekete_szego(koebe(8), alpha)
 
+    def test_alpha_is_not_a_bool(self):
+        # bool is a numbers.Real; True must not pass as alpha = 1
+        with pytest.raises(InvalidParameter, match="alpha must be a finite real number"):
+            fekete_szego(koebe(8), True)
+
 
 class TestOddC5:
     """The fifth coefficient of the odd square-root transform,

@@ -53,6 +53,7 @@ CARATHEODORY = PIPE(["sample", "--seed", "3", "--atoms", "2", "--order", "16"])
 G_FILE = {"g.json": PIPE(["build", "identity", "--order", "16"])}
 WITH_FILE = {"g.json": THMB16}
 BOOL_ORDER = json.dumps({"order": True, "coeffs": [[0, 0], [1, 0]]})
+BOOL_COEFFS = '{"order": 2, "coeffs": [[false, 0], [true, false], [0, true]]}'
 MISSING = "{tmp}/missing.json"
 #: f' and f overflow to inf on every circle
 OVERFLOW = json.dumps({"order": 3, "coeffs": [[0, 0], [1, 0], [1e308, 0], [1e308, 0]]})
@@ -220,6 +221,7 @@ CASES = [
     ("functional-hankel-q0", ["functional", "hankel", "--q", "0", "--function", "koebe"], "", {}),
     ("functional-bieberbach", ["functional", "bieberbach", "--function", "thmB",
                                "--order", "16"], "", {}),
+    ("functional-bieberbach-bool-coeffs", ["functional", "bieberbach"], BOOL_COEFFS, {}),
     ("functional-covering", ["functional", "covering", "--xi", "-0.25", "--function", "koebe",
                              "--order", "8"], "", {}),
     ("functional-covering-tiny-xi", ["functional", "covering", "--xi", "1e-320",
@@ -229,6 +231,12 @@ CASES = [
     ("sample-series", ["sample", "--seed", "7", "--atoms", "3", "--order", "16"], "", {}),
     ("sample-measure", ["sample", "--seed", "7", "--atoms", "3", "--measure"], "", {}),
     ("sample-no-atoms", ["sample", "--atoms", "0"], "", {}),
+    # seeds past 64 and 128 bits, where SeedSequence hashes more words
+    ("sample-seed-2pow64", ["sample", "--seed", "18446744073709551616", "--atoms", "2",
+                            "--order", "8"], "", {}),
+    ("sample-measure-seed-2pow130", ["sample", "--measure", "--seed",
+                                     "1361129467683753853853498429727072845829",
+                                     "--atoms", "5"], "", {}),
     ("report-seed0", ["report", "--seed", "0"], "", {}),
     ("report-seed1", ["report", "--seed", "1"], "", {}),
     ("report-seed2", ["report", "--seed", "2"], "", {}),

@@ -106,6 +106,11 @@ class TestJson:
         with pytest.raises(InvalidParameter, match="coeffs must be a list"):
             series_from_dict({"order": 1, "coeffs": coeffs})
 
+    def test_bool_coefficients_rejected(self):
+        # JSON true and false are Python bools, which complex() takes as 1 and 0
+        with pytest.raises(InvalidParameter, match="not booleans"):
+            series_from_dict({"order": 1, "coeffs": [[0, 0], [True, False]]})
+
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(InvalidParameter):
             series_from_dict({"order": 1, "coeffs": [[0, 0], [10**400, 0]]})
@@ -389,7 +394,7 @@ class TestParameterChecks:
         with pytest.raises(InvalidParameter, match="at most 5"):
             require_count(6, "n", most=5)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1j, "0.5", None])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1j, "0.5", None, True, False])
     def test_real_refuses_non_finite_and_non_real(self, bad):
         with pytest.raises(InvalidParameter, match="finite real number"):
             require_real(bad, "t")

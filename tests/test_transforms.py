@@ -52,6 +52,10 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameter):
             Rotation(1j)
 
+    def test_rotation_angle_is_not_a_bool(self):
+        with pytest.raises(InvalidParameter, match="theta must be a finite real number"):
+            Rotation(False)
+
     def test_dilation_domain(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(InvalidParameter):
@@ -80,6 +84,10 @@ class TestSpecValidation:
     def test_linear_sum_weight_domain(self):
         with pytest.raises(InvalidParameter):
             LinearSum(1.5, identity(8))
+
+    def test_linear_sum_weight_is_not_a_bool(self):
+        with pytest.raises(InvalidParameter, match="t must be a finite real number"):
+            LinearSum(True, koebe(4))
 
     def test_range_compose_needs_normalized(self):
         with pytest.raises(InvalidParameter):

@@ -29,7 +29,7 @@ from schlicht import (
     turning_extremal,
     zoo,
 )
-from schlicht.caratheodory import _sample_rows, sample_measure
+from schlicht.caratheodory import _sample_rows, _seed_words, sample_measure
 from schlicht.errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
 from schlicht.series import constant
 from schlicht.zoo import STOCK_FUNCTIONS, report_suite
@@ -210,7 +210,7 @@ class TestConstructorRows:
     @settings(max_examples=40, deadline=None)
     def test_one_row_equals_rows_of_a_batch(self, order, seed, atoms):
         seeds = np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
-        c = _sample_rows(seeds, atoms, order)
+        c = _sample_rows(_seed_words(seeds), atoms, order)
         convex, koebe_g = convex_extremal(order + 1), koebe(order)
         batches = (
             (from_starlike, starlike_loop, zoo._starlike_rows(c)),
