@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BranchPointAtOrigin,
@@ -30,6 +31,10 @@ DEFAULT_ORDER = 64
 #: A constant term with modulus at or below this threshold is treated as
 #: zero wherever a nonzero constant term is required.
 CONSTANT_TERM_EPS = 1e-12
+
+#: Anti-diagonals that mobius_recompose holds before adding them into its
+#: output in one pass.
+MOBIUS_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +242,14 @@ def principal_power(f: TruncatedSeries, t: float) -> TruncatedSeries:
     n = f.order
     p = np.zeros(n + 1, dtype=complex)
     p[0] = complex(a[0]) ** t
+    # step k weighs p[j] by t (k - j) - j and a[k - j], j < k: slices of
+    # t (n, ..., 1), of 0..n-1 and of a reversed, all built once
+    tk = t * np.arange(n, 0, -1)
+    j = np.arange(n)
+    backward = a[::-1].copy()
     for k in range(1, n + 1):
-        j = np.arange(k)
-        w = t * (k - j) - j
-        p[k] = np.dot(w * p[:k], a[k - j]) / (k * a[0])
+        w = tk[n - k :] - j[:k]
+        p[k] = np.dot(w * p[:k], backward[n - k : n]) / (k * a[0])
     return TruncatedSeries(p)
 
 
@@ -255,11 +264,14 @@ def principal_log(f: TruncatedSeries) -> TruncatedSeries:
     n = f.order
     out = np.zeros(n + 1, dtype=complex)
     out[0] = cmath.log(complex(a[0]))
+    # step k weighs out[j] by j and a[k - j], 0 < j < k: slices of 0..n
+    # and of a reversed, both built once
+    j = np.arange(n + 1)
+    backward = a[::-1].copy()
     for k in range(1, n + 1):
         s = 0.0 + 0.0j
         if k > 1:
-            j = np.arange(1, k)
-            s = np.dot(j * out[j], a[k - j])
+            s = np.dot(j[1:k] * out[1:k], backward[n - k + 1 : n])
         out[k] = (k * a[k] - s) / (k * a[0])
     return TruncatedSeries(out)
 
@@ -292,8 +304,17 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
 
     with M[0, j] = 1 if j = 0 else 0.  An anti-diagonal k + j = d depends
     only on the two before it, so each of the 2N anti-diagonals (N the
-    order) is one vector step over k, and c_k M[k, d-k] is added to the
-    output as it appears: O(N^2) time and O(N) memory.
+    order) is one vector step over its valid range of k: O(N^2) time.
+
+    The anti-diagonals are held, indexed by j = d - k, in a block of
+    MOBIUS_BLOCK rows.  A full block is flushed into the output at once:
+    one product with c_(d-j) read from sliding windows of c reversed and
+    zero-padded, then one sum down the block with the output as its first
+    row, so output[j] is still added up in ascending k, starting from c_0
+    for j = 0 and +0.0 otherwise: bit for bit the sums of adding each
+    anti-diagonal in as it appears.  Blocks end at d = N as well, so that
+    no padding is added to output[0] after its last term.  Memory is
+    O(MOBIUS_BLOCK * N); no (N+1)^2 table is formed.
 
     The recurrence only multiplies row k - 1 by w, an isometry of H^2,
     so rounding errors are carried along without growth and every power's
@@ -304,27 +325,63 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
     sigma = complex(sigma)
     if abs(sigma) >= 1:
         raise InvalidParameter("automorphism center must satisfy |sigma| < 1")
-    if sigma == 0:
-        return TruncatedSeries(f.coeffs)
     n = f.order
     c = f.coeffs
-    sbar = sigma.conjugate()
+    if sigma == 0 or n == 0:
+        return TruncatedSeries(c)
+    # block[2 + r, 1 + j] = M[d - j, j] on the block's r-th anti-diagonal d;
+    # rows 0 and 1 carry the two anti-diagonals before the block, and
+    # column 0 stands for j = -1, where M is zero.  Entries outside an
+    # anti-diagonal's range go stale, and the recurrence never reads them.
+    block = np.zeros((MOBIUS_BLOCK + 2, n + 2), dtype=complex)
+    block[1, 1] = 1.0  # M[0, 0]
+    rows = list(block)  # row views slice faster than block[r, a:b]
+    centres = np.array([[sigma], [sigma.conjugate()]])
+    scaled = np.empty((2, n + 2), dtype=complex)
+    by_sigma, by_sbar = scaled
+    terms = np.empty((MOBIUS_BLOCK + 1, n + 1), dtype=complex)
+    # windows[2N - d, j] = c_(d-j) where 1 <= d - j <= N, else 0: the
+    # padding meets stale entries, and each such product is a zero added
+    # to a sum that is not -0.0
+    padded = np.zeros(3 * n, dtype=complex)
+    padded[n : 2 * n] = c[:0:-1]
+    windows = sliding_window_view(padded, n + 1)
     out = np.zeros(n + 1, dtype=complex)
     out[0] = c[0]
-    # older[k] and newer[k] hold M[k, d - k] on anti-diagonals d - 2 and d - 1;
-    # older is overwritten with anti-diagonal d.  Entries with d - k > n go
-    # stale there, and no later step reads them.
-    older = np.zeros(n + 1, dtype=complex)
-    newer = np.zeros(n + 1, dtype=complex)
-    newer[0] = 1.0
+    first = 1  # the block's first anti-diagonal
+    # ufuncs take their output positionally: out= costs more than the
+    # arithmetic on short anti-diagonals
     for d in range(1, 2 * n + 1):
-        lo, hi = max(1, d - n), min(d, n)
-        older[lo : hi + 1] = (
-            sigma * newer[lo - 1 : hi] + older[lo - 1 : hi] - sbar * newer[lo : hi + 1]
-        )
-        older[0] = 0.0  # M[0, d] for d >= 1
-        out[d - hi : d - lo + 1] += (c[lo : hi + 1] * older[lo : hi + 1])[::-1]
-        older, newer = newer, older
+        r = d - first + 2
+        # columns a..b-1 hold j = d - min(d, N) .. d - max(1, d - N)
+        a, b = (1, d + 1) if d <= n else (d - n + 1, n + 2)
+        new, prev = rows[r][a:b], rows[r - 1]
+        np.multiply(centres, prev[a - 1 : b], scaled[:, : b - a + 1])
+        np.add(by_sigma[1 : b - a + 1], rows[r - 2][a - 1 : b - 1], new)
+        np.subtract(new, by_sbar[: b - a], new)
+        if d <= n:
+            rows[r][d + 1] = 0.0  # M[0, d]
+        if r == MOBIUS_BLOCK + 1 or d == n or d == 2 * n:
+            # Columns jl..jh cover every k = d - j in [1, N] of the block.
+            # With more than one anti-diagonal they are at least two wide,
+            # so numpy adds the rows in turn; one column it would sum
+            # pairwise.  numpy also starts a sum from +0.0, which would turn
+            # a -0.0 in c_0 into +0.0; -0.0 is the exact identity.  The
+            # products go to their own rows: numpy multiplies a single
+            # complex in place by another loop, with other rounding.
+            jl, jh = max(0, first - n), min(n, d - 1)
+            height, width = d - first + 2, jh - jl + 1
+            terms[0, :width] = out[jl : jh + 1]
+            np.multiply(
+                windows[2 * n - d : 2 * n - first + 1][::-1, jl : jh + 1],
+                block[2 : r + 1, jl + 1 : jh + 2],
+                terms[1:height, :width],
+            )
+            np.add.reduce(
+                terms[:height, :width], axis=0, out=out[jl : jh + 1], initial=complex(-0.0, -0.0)
+            )
+            block[:2] = block[r - 1 : r + 1]
+            first = d + 1
     return TruncatedSeries(out)
 
 

@@ -178,6 +178,14 @@ def _omitted_value(spec: OmittedValue, f: TruncatedSeries) -> NormalizedSeries:
     return _finish_normalized(divide(spec.xi * f, spec.xi - f).coeffs)
 
 
+def _square_root(f: TruncatedSeries) -> NormalizedSeries:
+    """sqrt_even_transform(f) truncated back to the order N of f.  Its
+    coefficient 2k + 1 reads f only up to order k + 1, so f is first cut to
+    order ceil((N + 1)/2): the same bits, from half the recurrence."""
+    half = NormalizedSeries(f.coeffs[: (f.order + 2) // 2 + 1])
+    return NormalizedSeries(sqrt_even_transform(half).coeffs[: f.order + 1])
+
+
 def _average(f: TruncatedSeries, gamma: float) -> NormalizedSeries:
     """Bernardi's coefficient map a_k -> (1+gamma) a_k/(k+gamma)."""
     out = np.zeros(f.order + 1, dtype=complex)
@@ -197,7 +205,7 @@ _MAPS = {
     ),
     DiskAutomorphism: _automorphism,
     OmittedValue: _omitted_value,
-    SquareRoot: lambda spec, f: NormalizedSeries(sqrt_even_transform(f).coeffs[: f.order + 1]),
+    SquareRoot: lambda spec, f: _square_root(f),
     RangeCompose: lambda spec, f: _finish_normalized(compose(spec.phi, f).coeffs),
     Libera: lambda spec, f: _average(f, 1.0),
     Bernardi: lambda spec, f: _average(f, spec.gamma),

@@ -1,6 +1,8 @@
 """Independent reference implementations used to cross-check the
 library: brute-force coefficient arithmetic, quadrature-based integral
-operators, and FFT coefficient extraction from point values.
+operators, FFT coefficient extraction from point values, and the
+straightforward loop forms (loop_*) of recurrences whose faster kernels
+must reproduce them bit for bit.
 
 Nothing here calls back into the package's recurrences; polynomial
 evaluation goes through np.polyval so a bug in the library's Horner
@@ -9,6 +11,7 @@ loop cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -73,6 +76,61 @@ def mp_mobius_recompose(coeffs, sigma: complex, dps: int = 40) -> np.ndarray:
                 acc.append(prod[j] - sbar * acc[j - 1])
             acc[0] += mpmath.mpc(complex(c))
         return np.array([complex(x) for x in acc])
+
+
+def loop_mobius_recompose(c, sigma: complex) -> np.ndarray:
+    """f((z + sigma)/(1 + conj(sigma) z)) by the anti-diagonal recurrence of
+    series.mobius_recompose, adding each anti-diagonal's c_k M[k, d - k]
+    into the output as it appears.  The library's blocked kernel must match
+    it bit for bit: same products, same sums, same order."""
+    c = np.asarray(c, dtype=complex)
+    sigma = complex(sigma)
+    n = len(c) - 1
+    sbar = sigma.conjugate()
+    out = np.zeros(n + 1, dtype=complex)
+    out[0] = c[0]
+    older = np.zeros(n + 1, dtype=complex)
+    newer = np.zeros(n + 1, dtype=complex)
+    newer[0] = 1.0
+    for d in range(1, 2 * n + 1):
+        lo, hi = max(1, d - n), min(d, n)
+        older[lo : hi + 1] = (
+            sigma * newer[lo - 1 : hi] + older[lo - 1 : hi] - sbar * newer[lo : hi + 1]
+        )
+        older[0] = 0.0  # M[0, d] for d >= 1
+        out[d - hi : d - lo + 1] += (c[lo : hi + 1] * older[lo : hi + 1])[::-1]
+        older, newer = newer, older
+    return out
+
+
+def loop_principal_power(a, t: float) -> np.ndarray:
+    """Principal f**t by the recurrence of series.principal_power, with the
+    weights and the reversed coefficients built afresh at every step."""
+    a = np.asarray(a, dtype=complex)
+    n = len(a) - 1
+    p = np.zeros(n + 1, dtype=complex)
+    p[0] = complex(a[0]) ** t
+    for k in range(1, n + 1):
+        j = np.arange(k)
+        w = t * (k - j) - j
+        p[k] = np.dot(w * p[:k], a[k - j]) / (k * a[0])
+    return p
+
+
+def loop_principal_log(a) -> np.ndarray:
+    """Principal log f by the recurrence of series.principal_log, reading
+    out[j] and a[k - j] through fancy indexes."""
+    a = np.asarray(a, dtype=complex)
+    n = len(a) - 1
+    out = np.zeros(n + 1, dtype=complex)
+    out[0] = cmath.log(complex(a[0]))
+    for k in range(1, n + 1):
+        s = 0.0 + 0.0j
+        if k > 1:
+            j = np.arange(1, k)
+            s = np.dot(j * out[j], a[k - j])
+        out[k] = (k * a[k] - s) / (k * a[0])
+    return out
 
 
 def mp_circle_values(coeffs, r: float, n: int, indices, derivative: int = 0, dps: int = 30):

@@ -87,6 +87,22 @@ CASES = [
     ("transform-omit-unstable", ["transform", "omit", "--xi", "0.3"], KOEBE16, {}),
     ("transform-omit-nan", ["transform", "omit", "--xi", "nan"], KOEBE8, {}),
     ("transform-sqrt", ["transform", "sqrt"], KOEBE8, {}),
+    # large orders: mobius_recompose over several blocks of anti-diagonals,
+    # the subnormal powers of a tiny centre, real centres on Koebe's real
+    # coefficients, and the square root at an even and an odd order
+    ("transform-autom-order130", ["transform", "autom", "--sigma", "0.3+0.2j"],
+     PIPE(["build", "thmB", "--order", "130"]), {}),
+    ("transform-autom-order256-tiny-sigma", ["transform", "autom", "--sigma", "0.001"],
+     PIPE(["build", "koebe", "--order", "256"], ["transform", "rotate", "--theta", "0.7"]), {}),
+    ("transform-autom-koebe-real-sigma", ["transform", "autom", "--sigma", "0.5"],
+     PIPE(["build", "koebe", "--order", "256"]), {}),
+    ("transform-autom-koebe-negative-sigma", ["transform", "autom", "--sigma", "-0.5"],
+     PIPE(["build", "koebe", "--order", "130"]), {}),
+    ("transform-sqrt-order256", ["transform", "sqrt"],
+     PIPE(["build", "thmB", "--order", "256"], ["transform", "rotate", "--theta", "0.7"]), {}),
+    ("transform-sqrt-order257", ["transform", "sqrt"],
+     PIPE(["build", "koebe", "--order", "257"], ["transform", "dilate", "--r", "0.9"],
+          ["transform", "rotate", "--theta", "1.1"]), {}),
     # a computed overflow exits 1, a non-finite input exits 2
     ("transform-sqrt-overflow", ["transform", "sqrt"], HUGE, {}),
     ("transform-sqrt-infinity-input", ["transform", "sqrt"], INFINITY, {}),

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ from schlicht.series import (
 
 from oracles import (
     fft_coefficients,
+    loop_mobius_recompose,
+    loop_principal_log,
+    loop_principal_power,
     mp_mobius_recompose,
     naive_compose,
     naive_truncated_product,
@@ -378,6 +382,80 @@ class TestMobiusRecompose:
         f = apply(Dilation(0.1), from_starlike(sample(3, 5, order=64)))
         back = mobius_recompose(mobius_recompose(f, sigma), -sigma)
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).view(np.uint64).tobytes()
+
+
+class TestKernelsMatchTheirLoops:
+    """The kernels give the bits of the plain loops kept in oracles.py, at
+    orders on both sides of mobius_recompose's 64-anti-diagonal blocks."""
+
+    ORDERS = [1, 2, 63, 64, 65, 129, 255, 256, 300]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize(
+        "sigma", [1e-3, 0.095j, 0.99 * cmath.exp(2.3j)], ids=["tiny", "imaginary", "near-edge"]
+    )
+    def test_mobius_recompose_on_seeded_series(self, order, sigma):
+        # sigma = 1e-3 drives the powers of w through subnormals
+        c = random_coeffs(np.random.default_rng(order), order)
+        got = mobius_recompose(TruncatedSeries(c), sigma).coeffs
+        assert _bits(got) == _bits(loop_mobius_recompose(c, sigma))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("sigma", [0.5, -0.5])
+    def test_mobius_recompose_real_centre_on_koebe(self, order, sigma):
+        # real coefficients and a real centre: every imaginary part is a
+        # signed zero
+        f = koebe(order)
+        got = mobius_recompose(f, sigma).coeffs
+        assert _bits(got) == _bits(loop_mobius_recompose(f.coeffs, sigma))
+
+    @pytest.mark.parametrize("order", [1, 5, 64, 130])
+    @pytest.mark.parametrize("sigma", [0.5, -0.5j, 1e-3])
+    def test_mobius_recompose_keeps_negative_zeros(self, order, sigma):
+        # with c_0 and every c_k equal to -0.0, output[0] is a sum of signed
+        # zeros that stays -0.0 in a part only if no +0.0 is ever added
+        c = np.full(order + 1, complex(-0.0, -0.0))
+        got = mobius_recompose(TruncatedSeries(c), sigma).coeffs
+        assert _bits(got) == _bits(loop_mobius_recompose(c, sigma))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("t", [0.5, -1, 1 / 3, 2])
+    def test_principal_power(self, order, t):
+        a = random_coeffs(np.random.default_rng(order), order, scale=0.3)
+        a[0] = 1.0 + 0.2j
+        got = principal_power(TruncatedSeries(a), t).coeffs
+        assert _bits(got) == _bits(loop_principal_power(a, t))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_principal_log(self, order):
+        a = random_coeffs(np.random.default_rng(order), order, scale=0.3)
+        a[0] = 0.7 - 0.4j
+        got = principal_log(TruncatedSeries(a)).coeffs
+        assert _bits(got) == _bits(loop_principal_log(a))
+
+
+class TestKernelMemory:
+    @pytest.mark.parametrize(
+        "kernel", [lambda f: mobius_recompose(f, 0.3 + 0.2j), lambda f: principal_power(f, 0.5)],
+        ids=["mobius_recompose", "principal_power"],
+    )
+    def test_peak_at_the_largest_order(self, kernel):
+        # an (N + 1)^2 complex table at the CLI's largest order, 4096,
+        # would take 268 MB
+        c = random_coeffs(np.random.default_rng(4096), 4096) / np.arange(1, 4098)
+        c[0] = 1.0
+        f = TruncatedSeries(c)
+        tracemalloc.start()
+        try:
+            kernel(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestParameterChecks:

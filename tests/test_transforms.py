@@ -218,11 +218,14 @@ class TestSquareRoot:
         want = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0], dtype=complex)
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_agrees_with_series_transform(self, rng):
-        f = TruncatedSeries(random_normalized_coeffs(rng, 20))
+    @pytest.mark.parametrize("order", [*range(1, 41), 255, 256, 257])
+    def test_agrees_with_series_transform(self, order):
+        # bit for bit, although apply first cuts f to order ceil((N + 1)/2)
+        c = random_normalized_coeffs(np.random.default_rng(order), order)
+        f = TruncatedSeries(c * 0.9 ** (np.arange(order + 1) - 1.0))
         got = apply(SquareRoot(), f).coeffs
-        want = sqrt_even_transform(f).coeffs[:21]
-        assert np.array_equal(got, want)
+        want = sqrt_even_transform(f).coeffs[: order + 1]
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 class TestRangeCompose:
