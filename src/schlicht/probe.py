@@ -6,19 +6,20 @@ refute a property but never certify it.  Thresholds are strict: a
 quantity counts as positive only when it clears POSITIVITY_EPS, and a
 radius bracket is reported with the predicate trace that produced it.
 
-PREDICATES holds each predicate kind's default angles and whether it
-reads g.  class_predicate evaluates a kind at one radius and class_radius
-bisects it, both through _holds: each sample is checked finite, then
-put to its kind's test.
+PREDICATES holds each predicate kind's default angles, whether it
+reads g and, for a class, its quotient (N, D), the class being Re N/D > 0.
+class_predicate evaluates a kind at one radius and class_radius bisects
+it, both through _holds: each sample is checked finite, then put to its
+kind's test.
 
 Every probe sees a function on the same equispaced circle |z| = r,
-r in (0, 1), at an integer count of 8 or more angles, through one
-kernel, circle_values.  It reads a truncated series, or a named
+r in (0, 1), at an integer count of 8 or more angles, where one inverse
+DFT sums a coefficient array (_coeff_sampler).  A class reads only the
+series: N and D are sampled from their coefficients.  circle_values,
+local univalence and injectivity read a truncated series, or a named
 function's closed forms for F and F' and its series otherwise; anything
-else is refused.  A series is summed on the circle by one inverse DFT
-of its scaled coefficients.  A radius solve builds its sampler once
-(_circle_sampler: derivative coefficients, exponents, unit roots) and
-only rescales at each step.
+else is refused.  A radius solve builds its samplers once and only
+rescales at each step; r is checked once per public call.
 
 Injectivity needs f' free of zeros inside the circle and a simple
 polyline through the samples (_polyline_injective), which visits no
@@ -59,9 +60,11 @@ def _require_angles(n_angles: int) -> None:
         raise InvalidParameter("need at least 8 angles")
 
 
-def _require_radius(r: float) -> None:
+def _require_radius(r) -> float:
+    r = require_real(r, "r")
     if not 0 < r < 1:
         raise InvalidParameter("radius must lie in (0, 1)")
+    return r
 
 
 def circle_angles(n_angles: int) -> np.ndarray:
@@ -76,8 +79,7 @@ def _unit_circle(n_angles: int) -> np.ndarray:
 
 def circle(r: float, n_angles: int) -> np.ndarray:
     """The points r e^{i theta} on |z| = r, r in (0, 1), at the circle_angles."""
-    _require_radius(r)
-    return r * _unit_circle(n_angles)
+    return _require_radius(r) * _unit_circle(n_angles)
 
 
 #: Names of the closed forms a named function may carry, by derivative.
@@ -90,14 +92,11 @@ def circle_values(F, r: float, n_angles: int, derivative: int = 0) -> np.ndarray
     F is a truncated series or an object whose .series is one.  The
     closed form (closed_form_derivative for F') that such an object
     carries takes precedence over its series: closed forms matter near
-    |z| = 1, where a truncation's tail swamps the value.
-
-    A series is summed by one inverse DFT: at theta_j = 2 pi j/n,
-    F^(d)(r e^{i theta_j}) = sum_k a_k r^k e^{2 pi i jk/n} with a_k =
-    (k+1)...(k+d) c_{k+d}, and the terms whose k agree mod n share a
-    phase, so the a_k r^k are folded mod n before the transform.
+    |z| = 1, where a truncation's tail swamps the value.  The classes
+    read no closed form.  A series is summed by _coeff_sampler on the
+    coefficients (k+1)...(k+d) c_{k+d} of F^(d).
     """
-    return _circle_sampler(F, n_angles, derivative)(r)
+    return _circle_sampler(F, n_angles, derivative)(_require_radius(r))
 
 
 def _as_series(f) -> TruncatedSeries:
@@ -108,41 +107,47 @@ def _as_series(f) -> TruncatedSeries:
     return ser
 
 
-def _circle_sampler(F, n_angles: int, derivative: int = 0) -> Callable[[float], np.ndarray]:
-    """r -> circle_values(F, r, n_angles, derivative).
+def _derivative_coeffs(a: np.ndarray) -> np.ndarray:
+    """The coefficients of F' from those a of F."""
+    return np.arange(1, len(a)) * a[1:]
 
-    The work that does not depend on r is done once: the choice of
-    representation, the coefficients a_k of F^(d) and their exponents,
-    and the unit roots.  Each call then computes a * r**k or r * unit,
-    the same float operations that circle_values makes on its own.
+
+def _coeff_sampler(a: np.ndarray, n_angles: int) -> Callable[[float], np.ndarray]:
+    """r -> sum_k a_k z^k on circle(r, n_angles), r already checked.
+
+    One inverse DFT: at theta_j = 2 pi j/n, the sum is sum_k a_k r^k
+    e^{2 pi i jk/n}, and the terms whose k agree mod n share a phase, so
+    the a_k r^k are folded mod n before the transform.  Only a * r**k
+    is computed at each call.
     """
-    if derivative not in (0, 1, 2):
-        raise InvalidParameter("derivative must be 0, 1 or 2")
-    ser = _as_series(F)
-    cf = getattr(F, _CLOSED_FORMS[derivative], None) if derivative < 2 else None
-    if cf is not None:
-        unit = _unit_circle(n_angles)
-
-        def closed_form_values(r: float) -> np.ndarray:
-            _require_radius(r)
-            return np.asarray(cf(r * unit), dtype=complex)
-
-        return closed_form_values
     _require_angles(n_angles)
-    a = ser.coeffs
-    for _ in range(derivative):
-        a = np.arange(1, len(a)) * a[1:]
     k = np.arange(len(a))
     fold = (0, -len(a) % n_angles) if len(a) > n_angles else None
 
-    def series_values(r: float) -> np.ndarray:
-        _require_radius(r)
+    def values(r: float) -> np.ndarray:
         b = a * r**k
         if fold is not None:
             b = np.pad(b, fold).reshape(-1, n_angles).sum(axis=0)
         return np.fft.ifft(b, n_angles, norm="forward")
 
-    return series_values
+    return values
+
+
+def _circle_sampler(F, n_angles: int, derivative: int = 0) -> Callable[[float], np.ndarray]:
+    """r -> circle_values(F, r, n_angles, derivative), r already checked.
+
+    The representation, the coefficients of F^(d) or the unit roots are
+    chosen once; each call then computes a * r**k or r * unit.
+    """
+    derivative = require_count(derivative, "derivative", most=2)
+    a = _as_series(F).coeffs
+    cf = getattr(F, _CLOSED_FORMS[derivative], None) if derivative < 2 else None
+    if cf is not None:
+        unit = _unit_circle(n_angles)
+        return lambda r: np.asarray(cf(r * unit), dtype=complex)
+    for _ in range(derivative):
+        a = _derivative_coeffs(a)
+    return _coeff_sampler(a, n_angles)
 
 
 @dataclass(frozen=True)
@@ -186,24 +191,36 @@ class RadiusResult:
 @dataclass(frozen=True)
 class PredicateKind:
     """A row of PREDICATES: the angles a kind samples when none are
-    given, and whether it reads a reference function g."""
+    given, whether it reads a reference function g and, for a class,
+    its quotient: the coefficient vectors of f and of g (None unless
+    reads_g) to those of N and D (None for 1), for any c_0."""
 
     angles: int = 256
     reads_g: bool = False
+    quotient: Callable | None = None
 
 
-#: Every predicate on |z| = r, by kind: the classes, whose defining
-#: quantity (_class_quantity, of f, f', f'' and g') must have positive
-#: real part, then f' free of zeros inside the circle and f injective on
-#: it (which implies the former).  Both are monotone in r (Darboux), so
-#: a radius solve on "injectivity" brackets the radius of univalence.
+def _z_derivative(a: np.ndarray) -> np.ndarray:
+    """The coefficients of z F' from those a of F."""
+    return np.arange(len(a)) * a
+
+
+#: Every predicate on |z| = r, by kind: the classes, whose N/D must have
+#: positive real part (f', f/z, z f'/f, (z f')'/f', f'/g' and
+#: (z f')'/g'), then f' free of zeros inside the circle and f injective
+#: on it (which implies the former).  Both are monotone in r (Darboux),
+#: so a radius solve on "injectivity" brackets the radius of univalence.
 PREDICATES = {
-    "bounded_turning": PredicateKind(),
-    "starlike": PredicateKind(),
-    "convex": PredicateKind(),
-    "close_to_convex": PredicateKind(reads_g=True),
-    "ratio_positive": PredicateKind(),
-    "quasi_convex": PredicateKind(reads_g=True),
+    "bounded_turning": PredicateKind(quotient=lambda a, b: (_derivative_coeffs(a), None)),
+    "starlike": PredicateKind(quotient=lambda a, b: (_z_derivative(a), a)),
+    "convex": PredicateKind(
+        quotient=lambda a, b: (_derivative_coeffs(_z_derivative(a)), _derivative_coeffs(a))),
+    "close_to_convex": PredicateKind(
+        reads_g=True, quotient=lambda a, b: (_derivative_coeffs(a), _derivative_coeffs(b))),
+    "ratio_positive": PredicateKind(quotient=lambda a, b: (a, np.array([0j, 1]))),
+    "quasi_convex": PredicateKind(
+        reads_g=True,
+        quotient=lambda a, b: (_derivative_coeffs(_z_derivative(a)), _derivative_coeffs(b))),
     "local_univalence": PredicateKind(angles=2048),
     "injectivity": PredicateKind(angles=512),
 }
@@ -218,33 +235,15 @@ def predicate_kind(name: str) -> str:
 
 
 def _class_quantity(kind: str, f, n_angles: int, g) -> Callable[[float], np.ndarray]:
-    """r -> the defining quantity of the class on circle(r, n_angles),
-    with the circle samplers of f (and g) built once."""
-
-    def sampler(F, derivative=0):
-        return _circle_sampler(F, n_angles, derivative)
-
-    unit = _unit_circle(n_angles)
-    if kind == "bounded_turning":
-        return sampler(f, 1)
-    if kind == "ratio_positive":
-        fv = sampler(f)
-        return lambda r: _safe_quotient(fv(r), r * unit)
-    if kind == "starlike":
-        fp, fv = sampler(f, 1), sampler(f)
-        return lambda r: _safe_quotient(r * unit * fp(r), fv(r))
-    # The remaining kinds need f'', which only the series representation
-    # supplies; f' comes from the same series for consistency.
-    ser = _as_series(f)
-    if kind == "convex":
-        f1, f2 = sampler(ser, 1), sampler(ser, 2)
-        return lambda r: 1.0 + _safe_quotient(r * unit * f2(r), f1(r))
-    gp = sampler(g, 1)
-    if kind == "close_to_convex":
-        fp = sampler(f, 1)
-        return lambda r: _safe_quotient(fp(r), gp(r))
-    f1, f2 = sampler(ser, 1), sampler(ser, 2)
-    return lambda r: _safe_quotient(f1(r) + r * unit * f2(r), gp(r))
+    """r -> N/D of the class's row on circle(r, n_angles), N and D
+    sampled from the series of f (and g), their samplers built once."""
+    row = PREDICATES[kind]
+    num, den = row.quotient(_as_series(f).coeffs, _as_series(g).coeffs if row.reads_g else None)
+    num_values = _coeff_sampler(num, n_angles)
+    if den is None:
+        return num_values
+    den_values = _coeff_sampler(den, n_angles)
+    return lambda r: _safe_quotient(num_values(r), den_values(r))
 
 
 def _safe_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -295,7 +294,7 @@ def class_predicate(kind: str, f, r: float, n_angles: int | None = None, g=None)
     A True on a finite grid says nothing about the gaps between
     samples; treat it as evidence, not proof.
     """
-    return _holds(predicate_kind(kind), f, n_angles, g)(r)
+    return _holds(predicate_kind(kind), f, n_angles, g)(_require_radius(r))
 
 
 def partial_sum(f: TruncatedSeries, k: int) -> NormalizedSeries:

@@ -387,23 +387,23 @@ def horner_values(F, zs: np.ndarray, derivative: int = 0) -> np.ndarray:
 
 
 def horner_class_quantity(kind: str, f, zs: np.ndarray, g=None) -> np.ndarray:
-    """The defining quantity of a class on the points zs, each function
-    summed by Horner at every point; convex and quasi-convex take f' and
-    f'' from the series even when f carries closed forms."""
+    """The defining quantity of a class on the points zs by its textbook
+    formula, f and g read from their series (never a closed form) and
+    summed by Horner at every point."""
+    f = getattr(f, "series", f)
     if kind == "bounded_turning":
         return horner_values(f, zs, 1)
     if kind == "ratio_positive":
         return horner_values(f, zs) / zs
     if kind == "starlike":
         return zs * horner_values(f, zs, 1) / horner_values(f, zs)
-    s = getattr(f, "series", f)
     if kind == "convex":
-        return 1.0 + zs * horner_values(s, zs, 2) / horner_values(s, zs, 1)
-    gp = horner_values(g, zs, 1)
+        return 1.0 + zs * horner_values(f, zs, 2) / horner_values(f, zs, 1)
+    gp = horner_values(getattr(g, "series", g), zs, 1)
     if kind == "close_to_convex":
         return horner_values(f, zs, 1) / gp
     if kind == "quasi_convex":
-        return (horner_values(s, zs, 1) + zs * horner_values(s, zs, 2)) / gp
+        return (horner_values(f, zs, 1) + zs * horner_values(f, zs, 2)) / gp
     raise ValueError(kind)
 
 
@@ -467,6 +467,12 @@ def per_call_circle_values(F, r: float, n: int, derivative: int = 0) -> np.ndarr
     a = getattr(F, "series", F).coeffs
     for _ in range(derivative):
         a = np.arange(1, len(a)) * a[1:]
+    return per_call_coeff_values(a, r, n)
+
+
+def per_call_coeff_values(a: np.ndarray, r: float, n: int) -> np.ndarray:
+    """sum_k a_k z^k on |z| = r at the angles 2 pi k/n: the a_k scaled by
+    r^k, folded mod n and summed by one inverse DFT."""
     a = a * r ** np.arange(len(a))
     if len(a) > n:
         a = np.pad(a, (0, -len(a) % n)).reshape(-1, n).sum(axis=0)
@@ -474,25 +480,13 @@ def per_call_circle_values(F, r: float, n: int, derivative: int = 0) -> np.ndarr
 
 
 def per_call_class_quantity(kind: str, f, r: float, n: int, g=None) -> np.ndarray:
-    """The defining quantity of a class on |z| = r from per_call_circle_values,
-    in the operand order of the probe: convex and quasi-convex take f' and
-    f'' from the series even when f carries closed forms."""
-    zs = r * np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    """N/D of the class's PREDICATES row on |z| = r, N and D rebuilt from
+    the series of f (and g) through the row and summed by
+    per_call_coeff_values on every call."""
+    from schlicht.probe import PREDICATES
 
-    def values(F, d=0):
-        return per_call_circle_values(F, r, n, d)
-
-    if kind == "bounded_turning":
-        return values(f, 1)
-    if kind == "ratio_positive":
-        return values(f) / zs
-    if kind == "starlike":
-        return zs * values(f, 1) / values(f)
-    s = getattr(f, "series", f)
-    if kind == "convex":
-        return 1.0 + zs * values(s, 2) / values(s, 1)
-    if kind == "close_to_convex":
-        return values(f, 1) / values(g, 1)
-    if kind == "quasi_convex":
-        return (values(s, 1) + zs * values(s, 2)) / values(g, 1)
-    raise ValueError(kind)
+    row = PREDICATES[kind]
+    num, den = row.quotient(getattr(f, "series", f).coeffs,
+                            getattr(g, "series", g).coeffs if row.reads_g else None)
+    values = per_call_coeff_values(num, r, n)
+    return values if den is None else values / per_call_coeff_values(den, r, n)

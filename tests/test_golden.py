@@ -61,6 +61,11 @@ OVERFLOW = json.dumps({"order": 3, "coeffs": [[0, 0], [1, 0], [1e308, 0], [1e308
 HUGE = json.dumps({"order": 4, "coeffs": [[0, 0], [1, 0]] + [[1e200, 0]] * 3})
 #: JSON Infinity, which Python's json module reads as a float
 INFINITY = '{"order": 2, "coeffs": [[0, 0], [1, 0], [Infinity, 0]]}'
+#: Koebe moved by an automorphism: non-real coefficients
+AUTOM64 = PIPE(["build", "koebe", "--order", "64"], ["transform", "autom", "--sigma", "0.3+0.2j"])
+LIBERA_FILE = {"g.json": PIPE(["build", "koebe", "--order", "64"], ["transform", "libera"])}
+#: c_0 = 0.5: z f'/f and f/z have a pole at the centre
+OFF_CENTRE = json.dumps({"order": 3, "coeffs": [[0.5, 0], [1, 0], [1, 0], [0, 0]]})
 
 CASES = [
     # build: every stock tag, the default order, an unknown tag
@@ -225,6 +230,19 @@ CASES = [
     ("radius-close-to-convex-order64-angles32", ["radius", "close-to-convex", "--function", "koebe",
                                                  "--order", "64", "--angles", "32",
                                                  "--g", "{tmp}/g.json"], "", G_FILE),
+    # every class on non-real coefficients, with the order folded for the
+    # two that read g; a series with c_0 != 0 fails at the centre
+    ("radius-bounded-turning-autom-trace", ["radius", "bounded-turning", "--trace"], AUTOM64, {}),
+    ("radius-starlike-autom-trace", ["radius", "starlike", "--trace"], AUTOM64, {}),
+    ("radius-ratio-positive-autom-trace", ["radius", "ratio-positive", "--trace"], AUTOM64, {}),
+    ("radius-close-to-convex-autom-angles32", ["radius", "close-to-convex", "--trace",
+                                               "--angles", "32", "--g", "{tmp}/g.json"],
+     AUTOM64, LIBERA_FILE),
+    ("radius-quasi-convex-autom-angles32", ["radius", "quasi-convex", "--trace",
+                                            "--angles", "32", "--g", "{tmp}/g.json"],
+     AUTOM64, LIBERA_FILE),
+    ("radius-starlike-off-centre", ["radius", "starlike"], OFF_CENTRE, {}),
+    ("radius-ratio-positive-off-centre", ["radius", "ratio-positive"], OFF_CENTRE, {}),
     # functional: every kind
     ("functional-fekete", ["functional", "fekete", "--alpha", "0.25", "--function", "koebe",
                            "--order", "8"], "", {}),

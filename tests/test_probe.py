@@ -30,6 +30,7 @@ from schlicht.errors import (
     DegenerateAtCenter,
     EvaluationSingularity,
     InvalidParameter,
+    SchlichtError,
 )
 from schlicht.probe import (
     INNER_RADIUS,
@@ -52,6 +53,7 @@ from schlicht.series import (
     differentiate,
     evaluate_many,
 )
+from schlicht.zoo import STOCK_FUNCTIONS
 
 from oracles import (
     has_proper_crossing,
@@ -61,6 +63,7 @@ from oracles import (
     mp_circle_values,
     per_call_circle_values,
     per_call_class_quantity,
+    polyval,
     random_coeffs,
 )
 
@@ -68,6 +71,18 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 #: The classes: the kinds whose defining quantity must have positive real part.
 CLASS_KINDS = tuple(PREDICATES)[:6]
 CONVEXITY_RADIUS = 2.0 - math.sqrt(3.0)
+
+
+def _thma64_ratio_radius() -> float:
+    """The radius where Re f/z of thmA's order-64 polynomial first
+    vanishes.  f/z = 1 + 2(z + ... + z^63) has its least real part on
+    |z| = r at z = -r, 1 - 2r(1 + r^63)/(1 + r), which is zero where
+    2 r^64 + r - 1 = 0: the positive root, by np.roots."""
+    roots = np.roots([2.0] + [0.0] * 62 + [1.0, -1.0])
+    return float(min(z.real for z in roots if abs(z.imag) < 1e-12 and z.real > 0))
+
+
+THMA64_RATIO_RADIUS = _thma64_ratio_radius()
 
 
 class TestCircle:
@@ -118,10 +133,11 @@ class TestMinRealPart:
         assert abs(got - want) < 1e-6
 
     def test_pole_raises(self):
+        # local univalence reads a closed form of f'; the classes read the series
         bad = lambda zs: np.where(np.isclose(zs, 0.3), np.inf + 0j, 1.0 + 0j)
         pole = NamedFunction("pole", constant(1.0, 8), bad, bad)
         with pytest.raises(EvaluationSingularity):
-            class_predicate("bounded_turning", pole, 0.3)
+            class_predicate("local_univalence", pole, 0.3)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParameter):
@@ -132,9 +148,18 @@ class TestMinRealPart:
 
 class TestClassPredicate:
     def test_koebe_starlike_at_every_radius(self):
+        # Koebe is starlike on the whole disk, but a class reads the
+        # series: the order-64 polynomial stops being starlike at the
+        # first zero of its f'.  Nothing is asserted near |z| = 1, where
+        # a sampled z f'/f can turn positive again.
         nf = named_function("koebe", 64)
-        for r in (0.3, 0.6, 0.9, 0.99):
-            assert class_predicate("starlike", nf, r)
+        assert class_predicate("starlike", nf, 0.3)
+        assert class_predicate("starlike", nf, 0.6)
+        assert not class_predicate("starlike", nf, 0.9)
+        fp = np.arange(1, 65) * nf.series.coeffs[1:]
+        zero = float(np.min(np.abs(np.roots(fp[::-1]))))
+        res = class_radius("starlike", nf)
+        assert res.lo <= zero <= res.hi
 
     def test_koebe_convexity_flips(self):
         f = koebe(64)
@@ -142,8 +167,13 @@ class TestClassPredicate:
         assert not class_predicate("convex", f, 0.9)
 
     def test_ratio_positive_extremal_everywhere(self):
+        # thmA has Re f/z > 0 on the whole disk; its order-64 polynomial
+        # only inside THMA64_RATIO_RADIUS
         nf = named_function("thmA", 64)
-        assert class_predicate("ratio_positive", nf, 0.99)
+        assert class_predicate("ratio_positive", nf, 0.9)
+        assert class_predicate("ratio_positive", nf, THMA64_RATIO_RADIUS - 5e-4)
+        assert not class_predicate("ratio_positive", nf, THMA64_RATIO_RADIUS + 5e-4)
+        assert not class_predicate("ratio_positive", nf, 0.99)
 
     def test_reference_function_required(self):
         with pytest.raises(InvalidParameter):
@@ -208,8 +238,10 @@ class TestRadiusSolve:
         assert res.lo == res.hi == RADIUS_CAP
 
     def test_ratio_positive_extremal_caps(self):
+        # thmA itself would cap; its order-64 polynomial does not
         res = class_radius("ratio_positive", named_function("thmA", 64))
-        assert res.capped
+        assert not res.capped
+        assert res.lo <= THMA64_RATIO_RADIUS <= res.hi
 
     def test_degenerate_at_center(self):
         with pytest.raises(DegenerateAtCenter):
@@ -302,6 +334,7 @@ class TestPredicateTable:
         assert [row.angles for row in PREDICATES.values()] == [256] * 6 + [2048, 512]
         assert [k for k, row in PREDICATES.items() if row.reads_g] == [
             "close_to_convex", "quasi_convex"]
+        assert tuple(k for k, row in PREDICATES.items() if row.quotient) == CLASS_KINDS
         assert predicate_kind("local-univalence") == "local_univalence"
         assert predicate_kind("quasi_convex") == "quasi_convex"
         for name in ("typal", "local univalence", "Starlike"):
@@ -345,6 +378,75 @@ class TestPredicateTable:
         assert res.hi - res.lo <= 1e-6
         assert abs(res.lo - 0.25) < 1e-4
         assert class_radius("injectivity", identity(8)).capped
+
+
+def _radius_or_error(kind, f, g):
+    try:
+        return class_radius(kind, f, g=g)
+    except SchlichtError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneRepresentation:
+    """A class reads only the series: a named function and its .series
+    (for f and for g) give the same radius, or the same error."""
+
+    @pytest.mark.parametrize("tag", list(STOCK_FUNCTIONS))
+    def test_named_equals_series(self, tag):
+        nf, g = named_function(tag, 64), named_function("koebe", 64)
+        for kind in CLASS_KINDS:
+            got = _radius_or_error(kind, nf, g)
+            assert got == _radius_or_error(kind, nf.series, g.series), kind
+            if (tag, kind) == ("moebius", "starlike"):
+                assert got[0] is DegenerateAtCenter
+
+
+def _mp_textbook_quantity(kind: str, f, g, z: complex) -> complex:
+    """The class's defining quantity at z by its textbook formula (f',
+    f/z, z f'/f, 1 + z f''/f', f'/g', (f' + z f'')/g'), in mpmath at 50
+    digits from the coefficients of f and g."""
+    import mpmath
+
+    def derivative(c, z, d):
+        return mpmath.fsum(mpmath.ff(k, d) * mpmath.mpc(complex(a)) * z ** (k - d)
+                           for k, a in enumerate(c.coeffs) if k >= d)
+
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        f0, f1, f2 = (derivative(f, z, d) for d in range(3))
+        quantity = {
+            "bounded_turning": lambda: f1,
+            "ratio_positive": lambda: f0 / z,
+            "starlike": lambda: z * f1 / f0,
+            "convex": lambda: 1 + z * f2 / f1,
+            "close_to_convex": lambda: f1 / derivative(g, z, 1),
+            "quasi_convex": lambda: (f1 + z * f2) / derivative(g, z, 1),
+        }[kind]
+        return complex(quantity())
+
+
+class TestRowsAgainstMpmath:
+    """Each PREDICATES row's N/D, summed by Horner on its coefficient
+    vectors, is the textbook quantity of its class: this checks the
+    table, not the sampler."""
+
+    @pytest.mark.parametrize("kind", CLASS_KINDS)
+    def test_quotient_is_the_textbook_quantity(self, kind):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(4242)
+        zs = rng.uniform(0.05, 0.5, 8) * np.exp(2j * np.pi * rng.uniform(size=8))
+        g = alexander_inverse(_starlike(11, 16))
+        fs = [_starlike(seed, 16) for seed in (1, 2, 3)]
+        off_centre = fs[0].coeffs.copy()
+        off_centre[0] = 0.3 - 0.2j
+        fs.append(TruncatedSeries(off_centre))
+        row = PREDICATES[kind]
+        for f in fs:
+            num, den = row.quotient(f.coeffs, g.coeffs if row.reads_g else None)
+            got = polyval(num, zs) / (1.0 if den is None else polyval(den, zs))
+            for z, value in zip(zs, got):
+                want = _mp_textbook_quantity(kind, f, g, z)
+                assert abs(value - want) <= 1e-12 * abs(want), (f.coeffs[:3], z)
 
 
 class TestEnclosesZero:
@@ -423,11 +525,23 @@ class TestCircleValues:
     @pytest.mark.parametrize(
         "r, n_angles, derivative",
         [(0.0, 16, 0), (1.0, 16, 0), (math.nan, 16, 1), (0.5, 7, 0), (0.5, 0, 2), (0.5, 16, 3),
-         (0.5, 16, -1)],
+         (0.5, 16, -1), ("0.5", 16, 0), (None, 16, 0), (0.5 + 0j, 16, 0), (True, 16, 0),
+         (0.5, 16, True), (0.5, 16, 1.0)],
     )
     def test_arguments_checked(self, r, n_angles, derivative):
         with pytest.raises(InvalidParameter):
             circle_values(koebe(8), r, n_angles, derivative)
+
+    @pytest.mark.parametrize("r", ["0.5", None, 0.5 + 0j, True, math.inf, 0.0, 1.0])
+    @pytest.mark.parametrize("probe", [
+        lambda r: class_predicate("starlike", koebe(8), r),
+        lambda r: class_predicate("close_to_convex", koebe(8), r, g=koebe(8)),
+        lambda r: class_predicate("local_univalence", named_function("koebe", 8), r),
+        lambda r: injectivity_probe(koebe(8), r),
+    ], ids=["starlike", "close_to_convex", "local_univalence", "injectivity_probe"])
+    def test_radius_checked(self, probe, r):
+        with pytest.raises(InvalidParameter):
+            probe(r)
 
     def test_not_a_function(self):
         with pytest.raises(InvalidParameter):
@@ -462,10 +576,11 @@ class TestTracesMatchHorner:
 
     @pytest.mark.parametrize("tag", ["koebe", "thmA", "thmB"])
     def test_class_radius_named(self, tag):
+        # a class reads a named function's series, not its closed forms
         nf = named_function(tag, 64)
         for kind in ("bounded_turning", "starlike", "convex", "ratio_positive"):
             def horner(r, kind=kind):
-                q = horner_class_quantity(kind, nf, circle(r, 32), None)
+                q = horner_class_quantity(kind, nf.series, circle(r, 32), None)
                 return float(np.min(q.real)) > POSITIVITY_EPS
 
             got = class_radius(kind, nf, n_angles=32)
