@@ -17,7 +17,6 @@ from .caratheodory import (
     preserve,
     sample,
     sample_measure,
-    schwarz_checks,
     schwarz_to_h,
 )
 from .errors import SchlichtError
@@ -36,6 +35,7 @@ from .probe import (
     local_univalence_radius,
     partial_sum,
     radius_solve,
+    schwarz_checks,
 )
 from .series import (
     DEFAULT_ORDER,

@@ -24,13 +24,10 @@ from .errors import (
     NotCaratheodoryNormalized,
     OrderTooLow,
 )
-from .probe import circle
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
-    differentiate,
     divide,
-    evaluate_many,
     mobius_recompose,
     multiply,
     principal_power,
@@ -457,27 +454,3 @@ def pommerenke_extremal(c1: complex, eps: complex, order: int = DEFAULT_ORDER) -
     den[2] = -eps
     return divide(TruncatedSeries(num), TruncatedSeries(den))
 
-
-def schwarz_checks(
-    theta, radii=(0.3, 0.6, 0.9, 0.95), n_angles: int = 64
-) -> tuple[MarginReport, MarginReport]:
-    """(magnitude, derivative): the bounds |theta(z)| <= |z| and
-    |theta'(z)| <= (1 - |theta(z)|^2) / (1 - |z|^2) at circle(r,
-    n_angles) for each r in radii, each reported at its worst point.
-
-    Both are evaluated on the truncating polynomial; for heavily
-    truncated series the outer radii report the truncation, not the
-    function.
-    """
-    th = _as_schwarz(theta).series
-    if len(radii) == 0:
-        raise InvalidParameter("need at least one radius")
-    zs = np.concatenate([circle(r, n_angles) for r in radii])
-    az = np.abs(zs)
-    av = np.abs(evaluate_many(th, zs))
-    dvals = evaluate_many(differentiate(th), zs)
-    points = range(len(zs))
-    return (
-        _worst_index("schwarz_magnitude", points, av, az),
-        _worst_index("schwarz_derivative", points, np.abs(dvals), (1.0 - av**2) / (1.0 - az**2)),
-    )

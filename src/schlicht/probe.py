@@ -1,8 +1,12 @@
 """Numerical probes on circles |z| = r: class predicates, local
-univalence and boundary injectivity, at one radius or by radius solve.
+univalence, boundary injectivity and the Schwarz-lemma bounds, at one
+radius or by radius solve.
 
-Everything here samples finitely many points, so a passing check can
-refute a property but never certify it.  Thresholds are strict: a
+Everything here samples finitely many points, so either outcome is
+evidence from the samples, not proof: a pass says nothing about the
+gaps between samples, and a failure can alias too, as when a zero of f'
+just outside the circle turns arg f' by almost 2 pi between two samples
+and _winding_number counts it inside.  Thresholds are strict: a
 quantity counts as positive only when it clears POSITIVITY_EPS, and a
 radius bracket is reported with the predicate trace that produced it.
 
@@ -18,8 +22,9 @@ DFT sums a coefficient array (_coeff_sampler).  A class reads only the
 series: N and D are sampled from their coefficients.  circle_values,
 local univalence and injectivity read a truncated series, or a named
 function's closed forms for F and F' and its series otherwise; anything
-else is refused.  A radius solve builds its samplers once and only
-rescales at each step; r is checked once per public call.
+else is refused.  schwarz_checks samples theta and theta' from the
+series.  A radius solve builds its samplers once and only rescales at
+each step; r is checked once per public call.
 
 Injectivity needs f' free of zeros inside the circle and a simple
 polyline through the samples (_polyline_injective), which visits no
@@ -35,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from .caratheodory import MarginReport, _as_schwarz, _worst_index
 from .errors import (
     DegenerateAtCenter,
     EvaluationSingularity,
@@ -73,28 +79,19 @@ def circle_angles(n_angles: int) -> np.ndarray:
     return 2 * np.pi * np.arange(n_angles) / n_angles
 
 
-def _unit_circle(n_angles: int) -> np.ndarray:
-    return np.exp(1j * circle_angles(n_angles))
-
-
-def circle(r: float, n_angles: int) -> np.ndarray:
-    """The points r e^{i theta} on |z| = r, r in (0, 1), at the circle_angles."""
-    return _require_radius(r) * _unit_circle(n_angles)
-
-
 #: Names of the closed forms a named function may carry, by derivative.
 _CLOSED_FORMS = ("closed_form", "closed_form_derivative")
 
 
 def circle_values(F, r: float, n_angles: int, derivative: int = 0) -> np.ndarray:
-    """Values of F, F' or F'' (derivative 0, 1 or 2) at circle(r, n_angles).
+    """Values of F or F' (derivative 0 or 1) on |z| = r at n_angles angles.
 
     F is a truncated series or an object whose .series is one.  The
     closed form (closed_form_derivative for F') that such an object
     carries takes precedence over its series: closed forms matter near
     |z| = 1, where a truncation's tail swamps the value.  The classes
     read no closed form.  A series is summed by _coeff_sampler on the
-    coefficients (k+1)...(k+d) c_{k+d} of F^(d).
+    coefficients of F or of F'.
     """
     return _circle_sampler(F, n_angles, derivative)(_require_radius(r))
 
@@ -113,7 +110,7 @@ def _derivative_coeffs(a: np.ndarray) -> np.ndarray:
 
 
 def _coeff_sampler(a: np.ndarray, n_angles: int) -> Callable[[float], np.ndarray]:
-    """r -> sum_k a_k z^k on circle(r, n_angles), r already checked.
+    """r -> sum_k a_k z^k on |z| = r at n_angles angles, r already checked.
 
     One inverse DFT: at theta_j = 2 pi j/n, the sum is sum_k a_k r^k
     e^{2 pi i jk/n}, and the terms whose k agree mod n share a phase, so
@@ -136,18 +133,44 @@ def _coeff_sampler(a: np.ndarray, n_angles: int) -> Callable[[float], np.ndarray
 def _circle_sampler(F, n_angles: int, derivative: int = 0) -> Callable[[float], np.ndarray]:
     """r -> circle_values(F, r, n_angles, derivative), r already checked.
 
-    The representation, the coefficients of F^(d) or the unit roots are
-    chosen once; each call then computes a * r**k or r * unit.
+    The representation, the coefficients of F or F' or the unit roots
+    are chosen once; each call then computes a * r**k or r * unit.
     """
-    derivative = require_count(derivative, "derivative", most=2)
+    derivative = require_count(derivative, "derivative", most=1)
     a = _as_series(F).coeffs
-    cf = getattr(F, _CLOSED_FORMS[derivative], None) if derivative < 2 else None
+    cf = getattr(F, _CLOSED_FORMS[derivative], None)
     if cf is not None:
-        unit = _unit_circle(n_angles)
+        unit = np.exp(1j * circle_angles(n_angles))
         return lambda r: np.asarray(cf(r * unit), dtype=complex)
-    for _ in range(derivative):
-        a = _derivative_coeffs(a)
-    return _coeff_sampler(a, n_angles)
+    return _coeff_sampler(_derivative_coeffs(a) if derivative else a, n_angles)
+
+
+def schwarz_checks(
+    theta, radii=(0.3, 0.6, 0.9, 0.95), n_angles: int = 64
+) -> tuple[MarginReport, MarginReport]:
+    """(magnitude, derivative): the bounds |theta(z)| <= |z| and
+    |theta'(z)| <= (1 - |theta(z)|^2) / (1 - |z|^2) on |z| = r at the
+    circle_angles(n_angles), for each r of the iterable radii in turn,
+    each reported at its worst point; |z| is r itself.
+
+    Both are evaluated on the truncating polynomial; for heavily
+    truncated series the outer radii report the truncation, not the
+    function.
+    """
+    a = _as_schwarz(theta).series.coeffs
+    try:
+        radii = [_require_radius(r) for r in radii]
+    except TypeError:
+        raise InvalidParameter("radii must be an iterable of radii") from None
+    if not radii:
+        raise InvalidParameter("need at least one radius")
+    samplers = (_coeff_sampler(a, n_angles), _coeff_sampler(_derivative_coeffs(a), n_angles))
+    av, dv = (np.abs(np.concatenate([values(r) for r in radii])) for values in samplers)
+    az = np.repeat(radii, n_angles)
+    return (
+        _worst_index("schwarz_magnitude", range(len(az)), av, az),
+        _worst_index("schwarz_derivative", range(len(az)), dv, (1.0 - av**2) / (1.0 - az**2)),
+    )
 
 
 @dataclass(frozen=True)
@@ -235,7 +258,7 @@ def predicate_kind(name: str) -> str:
 
 
 def _class_quantity(kind: str, f, n_angles: int, g) -> Callable[[float], np.ndarray]:
-    """r -> N/D of the class's row on circle(r, n_angles), N and D
+    """r -> N/D of the class's row on |z| = r at n_angles angles, N and D
     sampled from the series of f (and g), their samplers built once."""
     row = PREDICATES[kind]
     num, den = row.quotient(_as_series(f).coeffs, _as_series(g).coeffs if row.reads_g else None)
@@ -261,7 +284,7 @@ def _finite(w: np.ndarray, what: str) -> np.ndarray:
 
 def _holds(kind: str, f, n_angles: int | None, g) -> Callable[[float], bool]:
     """r -> whether the predicate kind, a key of PREDICATES, holds on
-    circle(r, n_angles), with the circle samplers built once; n_angles
+    |z| = r at n_angles angles, with the circle samplers built once; n_angles
     None takes the kind's default.  Each stage samples one function,
     checks it finite and tests it, after the stages before it passed."""
     row = PREDICATES[kind]
@@ -503,8 +526,9 @@ def injectivity_probe(f, r: float, n_angles: int | None = None) -> bool:
     Requires f' free of zeros inside the circle, as local univalence
     samples it, then a simple polyline through the sampled boundary
     image (_polyline_injective).  Returns False on the first failure.
-    This is a refutation device: True only means no self-contact was
-    detected at this resolution.  n_angles None samples
-    PREDICATES["injectivity"].angles.
+    Both outcomes are evidence from the samples: True only means no
+    self-contact was detected at this resolution, and False can alias,
+    when f' winds between two samples around a zero outside the circle.
+    n_angles None samples PREDICATES["injectivity"].angles.
     """
     return class_predicate("injectivity", f, r, n_angles)

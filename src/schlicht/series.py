@@ -140,9 +140,9 @@ def require_real(x, what: str) -> float:
 
 
 def require_complex(x, what: str) -> complex:
-    """x as a complex; InvalidParameter unless it is a number whose real
-    and imaginary parts are finite."""
-    if isinstance(x, numbers.Complex) and cmath.isfinite(complex(x)):
+    """x as a complex; InvalidParameter unless it is a number, not a
+    bool, whose real and imaginary parts are finite."""
+    if isinstance(x, numbers.Complex) and not isinstance(x, bool) and cmath.isfinite(complex(x)):
         return complex(x)
     raise InvalidParameter(f"{what} must be a finite complex number")
 

@@ -4,7 +4,9 @@ function classes.
 Class-S objects here are normalized (f(0) = 0, f'(0) = 1).  The
 constructors take a positive-real-part function h with h(0) = 1 and
 produce the corresponding normalized function: f/z = h, f' = h,
-zf'/f = h, or f'/g' = h against a convex g.
+zf'/f = h, or f'/g' = h against a convex g.  f is bounded-turning
+exactly when z f' is ratio-positive, so f' = h and its extremal are
+the alexander_inverse of the ratio-positive ones.
 """
 
 from __future__ import annotations
@@ -74,10 +76,7 @@ def ratio_extremal(order: int = DEFAULT_ORDER) -> NormalizedSeries:
     sqrt(2) - 1.
     """
     require_count(order, "order", positive=True)
-    out = np.full(order + 1, 2.0, dtype=complex)
-    out[0] = 0.0
-    out[1] = 1.0
-    return NormalizedSeries(out)
+    return from_ratio_positive(moebius(order - 1))
 
 
 def turning_extremal(order: int = DEFAULT_ORDER) -> NormalizedSeries:
@@ -85,12 +84,7 @@ def turning_extremal(order: int = DEFAULT_ORDER) -> NormalizedSeries:
 
     Extremal for the bounded-turning class (Re f' > 0).
     """
-    require_count(order, "order", positive=True)
-    k = np.arange(order + 1, dtype=float)
-    out = np.zeros(order + 1, dtype=complex)
-    out[1:] = 2.0 / k[1:]
-    out[1] = 1.0
-    return NormalizedSeries(out)
+    return alexander_inverse(ratio_extremal(order))
 
 
 @dataclass(frozen=True)
@@ -158,18 +152,6 @@ def _normalized_rows(batch: int, n: int) -> np.ndarray:
     return out
 
 
-def _ratio_positive_rows(c: np.ndarray) -> np.ndarray:
-    out = _normalized_rows(len(c), c.shape[1])
-    out[:, 2:] = c[:, 1:]
-    return out
-
-
-def _bounded_turning_rows(c: np.ndarray) -> np.ndarray:
-    out = _normalized_rows(len(c), c.shape[1])
-    out[:, 2:] = c[:, 1:] / np.arange(2, c.shape[1] + 1)
-    return out
-
-
 def _starlike_rows(c: np.ndarray) -> np.ndarray:
     n = c.shape[1]  # output order
     out = _normalized_rows(len(c), n)
@@ -203,13 +185,14 @@ def from_ratio_positive(h: TruncatedSeries) -> NormalizedSeries:
     Output order is order(h) + 1.
     """
     require_caratheodory(h)
-    return NormalizedSeries(_ratio_positive_rows(h.coeffs[None])[0])
+    out = _normalized_rows(1, h.order + 1)[0]
+    out[2:] = h.coeffs[1:]
+    return NormalizedSeries(out)
 
 
 def from_bounded_turning(h: TruncatedSeries) -> NormalizedSeries:
     """f with f' = h: a_k = c_{k-1}/k.  Output order is order(h) + 1."""
-    require_caratheodory(h)
-    return NormalizedSeries(_bounded_turning_rows(h.coeffs[None])[0])
+    return alexander_inverse(from_ratio_positive(h))
 
 
 def from_starlike(h: TruncatedSeries) -> NormalizedSeries:
@@ -284,11 +267,13 @@ def report_suite(seed: int, n_samples: int, order: int = 32) -> dict:
             group = slice((atoms - 1 - start) % 8, None, 8)
             c[group] = _sample_rows(words[group], atoms, order)
         pommerenke = [_pommerenke_terms(*c12) for c12 in c[:, 1:3].tolist()]
+        # the ratio-positive f has a_k = c_{k-1}, the bounded-turning c_{k-1}/k
+        coefficient = (2.0 - _modulus(c[:, 1:])).min(axis=1)
         sample_worst = {
-            "coefficient_bound": (2.0 - _modulus(c[:, 1:])).min(axis=1),
+            "coefficient_bound": coefficient,
             "pommerenke": np.array([bound - value for value, bound in pommerenke]),
-            "ratio_positive": growth(_ratio_positive_rows(c), 2.0),
-            "bounded_turning": growth(_bounded_turning_rows(c), 2.0 / kk),
+            "ratio_positive": coefficient,
+            "bounded_turning": (2.0 / kk - _modulus(c[:, 1:] / kk)).min(axis=1),
             "starlike": growth(_starlike_rows(c), kk),
             "close_to_convex": growth(_close_to_convex_rows(c, g), kk),
         }

@@ -17,6 +17,13 @@ import math
 import numpy as np
 
 
+def circle_points(r: float, n: int) -> np.ndarray:
+    """The points r e^{2 pi i k/n}, k = 0..n-1: the expression whose points
+    the library samples closed forms at, so a comparison on them is a
+    comparison on the library's own circle."""
+    return r * np.exp(1j * (2 * np.pi * np.arange(n) / n))
+
+
 def polyval(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Evaluate sum c_k z^k with numpy's Horner (highest degree first)."""
     return np.polyval(np.asarray(coeffs, dtype=complex)[::-1], zs)
@@ -254,6 +261,32 @@ def _normalized(n: int) -> np.ndarray:
     return out
 
 
+def bounded_turning_coeffs(c) -> np.ndarray:
+    """a with f' = h for h = sum c_k z^k: a_1 = 1 and a_k = c_{k-1}/k,
+    one division per coefficient."""
+    out = _normalized(len(c))
+    out[2:] = np.asarray(c)[1:] / np.arange(2, len(c) + 1)
+    return out
+
+
+def ratio_extremal_coeffs(order: int) -> np.ndarray:
+    """z(1+z)/(1-z) to order >= 1: a_1 = 1 and a_k = 2 for k >= 2."""
+    out = np.full(order + 1, 2.0, dtype=complex)
+    out[0] = 0.0
+    out[1] = 1.0
+    return out
+
+
+def turning_extremal_coeffs(order: int) -> np.ndarray:
+    """-2 log(1-z) - z to order >= 1: a_1 = 1 and a_k = 2/k for k >= 2,
+    each 2/k a real division."""
+    k = np.arange(order + 1, dtype=float)
+    out = np.zeros(order + 1, dtype=complex)
+    out[1:] = 2.0 / k[1:]
+    out[1] = 1.0
+    return out
+
+
 def starlike_loop(c) -> np.ndarray:
     """a with z f'/f = h for h = sum c_k z^k: (k-1) a_k = sum_{j<k} a_j c_{k-j},
     one np.dot per k."""
@@ -318,9 +351,7 @@ def report_per_sample(seed: int, n_samples: int, order: int = 32, eps: float | N
         ratio = _normalized(n)
         ratio[2:] = c[1:]
         record("ratio_positive", growth_margin(ratio, lambda kk: 2.0))
-        turning = _normalized(n)
-        turning[2:] = c[1:] / np.arange(2, n + 1)
-        record("bounded_turning", growth_margin(turning, lambda kk: 2.0 / kk))
+        record("bounded_turning", growth_margin(bounded_turning_coeffs(c), lambda kk: 2.0 / kk))
         record("starlike", growth_margin(starlike_loop(c), lambda kk: kk))
         record("close_to_convex", growth_margin(close_to_convex_loop(c, b), lambda kk: kk))
 
@@ -350,12 +381,12 @@ def pommerenke_margin(c1: complex, c2: complex) -> float:
     return float((2.0 - abs(c1) ** 2 / 2.0) - abs(c2 - c1**2 / 2.0))
 
 
-def schwarz_margins(zs, vals, dvals) -> tuple[np.ndarray, np.ndarray]:
+def schwarz_margins(az, vals, dvals) -> tuple[np.ndarray, np.ndarray]:
     """The margin lists of the two Schwarz bounds, |z| - |theta(z)| and
     (1 - |theta(z)|^2)/(1 - |z|^2) - |theta'(z)|, from the values of theta
-    and theta' at the grid points zs."""
-    mag = np.abs(zs) - np.abs(vals)
-    dbound = (1.0 - np.abs(vals) ** 2) / (1.0 - np.abs(zs) ** 2)
+    and theta' at grid points of moduli az."""
+    mag = az - np.abs(vals)
+    dbound = (1.0 - np.abs(vals) ** 2) / (1.0 - az**2)
     return mag, dbound - np.abs(dvals)
 
 
@@ -462,8 +493,7 @@ def per_call_circle_values(F, r: float, n: int, derivative: int = 0) -> np.ndarr
     names = ("closed_form", "closed_form_derivative")
     cf = getattr(F, names[derivative], None) if derivative < 2 else None
     if cf is not None:
-        zs = r * np.exp(1j * (2 * np.pi * np.arange(n) / n))
-        return np.asarray(cf(zs), dtype=complex)
+        return np.asarray(cf(circle_points(r, n)), dtype=complex)
     a = getattr(F, "series", F).coeffs
     for _ in range(derivative):
         a = np.arange(1, len(a)) * a[1:]

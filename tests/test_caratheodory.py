@@ -40,14 +40,16 @@ from schlicht.errors import (
     NotCaratheodoryNormalized,
     OrderTooLow,
 )
-from schlicht.probe import circle, circle_values
-from schlicht.series import constant, differentiate
+from schlicht.probe import circle_values
+from schlicht.series import constant
 
 from oracles import (
+    circle_points,
     coefficient_margins,
     herglotz_coeffs,
     herglotz_kernel_values,
     pommerenke_margin,
+    polyval,
     schwarz_margins,
     seeded_measure,
 )
@@ -464,6 +466,23 @@ class TestSchwarzChecks:
         assert max(abs(m) for m in mags) < 1e-12
         assert max(abs(m) for m in ders) < 1e-12
 
+    def test_modulus_is_the_radius(self):
+        # |z| is r itself, not |r e^{i t}| rounded, so theta = 0 leaves
+        # exactly the inner radius as its magnitude margin
+        magnitude, _ = schwarz_checks(SchwarzFunction(TruncatedSeries([0.0, 0.0])))
+        assert magnitude.margin == 0.3
+        assert {-m for _, m in magnitude.per_index} == {0.3, 0.6, 0.9, 0.95}
+
+    def test_radii_any_iterable(self):
+        theta = h_to_schwarz(sample(3, 2, order=16))
+        assert schwarz_checks(theta, radii=iter([0.5])) == schwarz_checks(theta, radii=(0.5,))
+        assert schwarz_checks(theta, radii=np.array([0.5])) == schwarz_checks(theta, radii=[0.5])
+
+    @pytest.mark.parametrize("radii", [0.5, None])
+    def test_radii_not_iterable(self, radii):
+        with pytest.raises(InvalidParameter, match="iterable"):
+            schwarz_checks(SchwarzFunction(linear(8)), radii=radii)
+
     def test_strictly_interior_function_has_slack(self):
         half_square = TruncatedSeries([0.0, 0.0, 0.5] + [0.0] * 6)
         magnitude, derivative = schwarz_checks(SchwarzFunction(half_square))
@@ -528,15 +547,22 @@ class TestMarginOracle:
             assert rep.ok == (not old < -VIOLATION_EPS)
 
     def test_schwarz_witnesses(self):
-        zs = np.concatenate([circle(r, 64) for r in (0.3, 0.6, 0.9, 0.95)])
+        # |z| is the radius itself, theta and theta' are sampled as
+        # circle_values samples them, and Horner agrees to 1e-12
+        radii = (0.3, 0.6, 0.9, 0.95)
+        az = np.repeat(radii, 64)
+        zs = np.concatenate([circle_points(r, 64) for r in radii])
         broken = 0
         for seed in range(40):
             theta = h_to_schwarz(sample(seed, seed % 3 + 1, order=(8, 16, 64, 256)[seed % 4])).series
-            vals = evaluate_many(theta, zs)
-            dvals = evaluate_many(differentiate(theta), zs)
+            vals = np.concatenate([circle_values(theta, r, 64) for r in radii])
+            dvals = np.concatenate([circle_values(theta, r, 64, 1) for r in radii])
+            dcoeffs = np.arange(1, theta.order + 1) * theta.coeffs[1:]
+            horner = schwarz_margins(az, polyval(theta.coeffs, zs), polyval(dcoeffs, zs))
             reports = schwarz_checks(theta)
-            for rep, margins in zip(reports, schwarz_margins(zs, vals, dvals)):
+            for rep, margins, near in zip(reports, schwarz_margins(az, vals, dvals), horner):
                 self.assert_matches(rep, margins, 0)
+                assert np.max(np.abs(margins - near)) < 1e-12
                 broken += not rep.ok
         # low orders break the bounds at the outer radii, so both outcomes occur
         assert 0 < broken < 80

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from schlicht import (
     Dilation,
     NormalizedSeries,
+    OmittedValue,
     TruncatedSeries,
     apply,
     compose,
+    covering_check,
     differentiate,
     divide,
     evaluate,
@@ -20,6 +22,7 @@ from schlicht import (
     koebe,
     moebius,
     multiply,
+    pommerenke_extremal,
     principal_log,
     principal_power,
     sample,
@@ -478,10 +481,20 @@ class TestParameterChecks:
             require_real(bad, "t")
 
     @pytest.mark.parametrize("bad", [complex("nan"), complex("infj"), float("inf"),
-                                     "0.5+1j", None])
+                                     "0.5+1j", None, True, False])
     def test_complex_refuses_non_finite_and_non_numbers(self, bad):
         with pytest.raises(InvalidParameter, match="finite complex number"):
             require_complex(bad, "xi")
+
+    @pytest.mark.parametrize("call", [
+        lambda: OmittedValue(True),
+        lambda: covering_check(koebe(4), True),
+        lambda: pommerenke_extremal(True, 1),
+    ], ids=["omitted_value", "covering_check", "pommerenke_extremal"])
+    def test_bool_is_not_a_complex_parameter(self, call):
+        # bool is a numbers.Complex; True must not pass as 1
+        with pytest.raises(InvalidParameter, match="finite complex number"):
+            call()
 
     def test_complex_accepts_reals_and_numpy_scalars(self):
         assert require_complex(2, "xi") == 2 + 0j

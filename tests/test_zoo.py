@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import close_to_convex_loop, herglotz_coeffs, report_per_sample, starlike_loop
+from oracles import (
+    bounded_turning_coeffs,
+    close_to_convex_loop,
+    herglotz_coeffs,
+    ratio_extremal_coeffs,
+    report_per_sample,
+    starlike_loop,
+    turning_extremal_coeffs,
+)
 from schlicht import (
     NormalizedSeries,
     TruncatedSeries,
@@ -31,6 +39,7 @@ from schlicht import (
 )
 from schlicht.caratheodory import _sample_rows, _seed_words, sample_measure
 from schlicht.errors import InvalidParameter, NotCaratheodoryNormalized, OrderTooLow
+from schlicht.probe import PREDICATES
 from schlicht.series import constant
 from schlicht.zoo import STOCK_FUNCTIONS, report_suite
 
@@ -97,6 +106,19 @@ class TestNamedFunctions:
         with pytest.raises(TypeError):
             named_function("koebe", 8, 1.0)
 
+    @pytest.mark.parametrize("order", list(range(1, 70)) + [255, 256, 1024, 4096])
+    def test_extremals_carry_the_bits_of_their_formulas(self, order):
+        # through from_ratio_positive and alexander_inverse, to the bit
+        for built, want in ((ratio_extremal, ratio_extremal_coeffs),
+                            (turning_extremal, turning_extremal_coeffs)):
+            got = built(order).coeffs
+            assert np.array_equal(got.view(np.uint64), want(order).view(np.uint64))
+
+    @pytest.mark.parametrize("built", [ratio_extremal, turning_extremal])
+    def test_extremals_need_order_one(self, built):
+        with pytest.raises(InvalidParameter, match="order must be a positive integer"):
+            built(0)
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(InvalidParameter):
             named_function("lune", order=8)
@@ -127,6 +149,18 @@ class TestFromBoundedTurning:
     def test_unit_constant_gives_identity(self):
         got = from_bounded_turning(constant(1.0, 4))
         assert np.array_equal(got.coeffs, identity(5).coeffs)
+
+    def test_bits_of_the_coefficient_formula(self):
+        # alexander_inverse of from_ratio_positive is a_k = c_{k-1}/k to the bit
+        for s in range(200):
+            h = sample(s, s % 8 + 1, order=s % 90)
+            got = from_bounded_turning(h).coeffs
+            want = bounded_turning_coeffs(h.coeffs)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), s
+
+    def test_requires_caratheodory_normalization(self):
+        with pytest.raises(NotCaratheodoryNormalized):
+            from_bounded_turning(TruncatedSeries([2.0, 1.0]))
 
 
 class TestFromStarlike:
@@ -179,6 +213,46 @@ class TestAlexanderPair:
         f = NormalizedSeries(c)
         back = alexander_forward(alexander_inverse(f))
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+
+
+def _row_quotient(kind: str, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """divide(N, D) of the kind's PREDICATES row, D = None read as 1 and
+    a leading zero common to N and D (D(0) = 0) dropped first."""
+    row = PREDICATES[kind]
+    num, den = row.quotient(f.coeffs, g.coeffs if row.reads_g else None)
+    den = np.ones(1, dtype=complex) if den is None else den
+    if den[0] == 0:
+        assert num[0] == 0
+        num, den = num[1:], den[1:]
+    den = np.pad(den, (0, max(0, len(num) - len(den))))
+    return divide(TruncatedSeries(num), TruncatedSeries(den))
+
+
+class TestClassRowRoundTrip:
+    """Each class's constructor against its PREDICATES row: the row's
+    N/D of the built f gives h back, so the two tables agree on every
+    class."""
+
+    CONSTRUCTORS = {
+        "ratio_positive": lambda h, g: from_ratio_positive(h),
+        "bounded_turning": lambda h, g: from_bounded_turning(h),
+        "starlike": lambda h, g: from_starlike(h),
+        "convex": lambda h, g: alexander_inverse(from_starlike(h)),
+        "close_to_convex": lambda h, g: from_close_to_convex(h, g),
+        "quasi_convex": lambda h, g: alexander_inverse(from_close_to_convex(h, g)),
+    }
+
+    def test_every_class_has_a_constructor(self):
+        assert set(self.CONSTRUCTORS) == {k for k, row in PREDICATES.items() if row.quotient}
+
+    @pytest.mark.parametrize("kind", list(CONSTRUCTORS))
+    def test_row_inverts_constructor(self, kind):
+        g = convex_extremal(40)
+        for s in range(50):
+            h = sample(s, s % 8 + 1, order=32)
+            back = _row_quotient(kind, self.CONSTRUCTORS[kind](h, g), g)
+            assert back.order >= h.order
+            assert np.max(np.abs(back.coeffs[: h.order + 1] - h.coeffs)) <= 1e-11, s
 
 
 class TestConstructorSweeps:
