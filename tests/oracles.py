@@ -485,6 +485,16 @@ def injective_all_pairs(w: np.ndarray) -> bool:
     return not has_proper_crossing(w, np.roll(w, -1))
 
 
+def wrapped_winding_number(values: np.ndarray) -> int:
+    """Winding of a closed loop of samples around 0: each turn between
+    neighbours wrapped into [-pi, pi) by the floating-point remainder,
+    the turns summed and rounded to whole turns."""
+    args = np.angle(values)
+    steps = np.diff(np.concatenate([args, args[:1]]))
+    steps = (steps + np.pi) % (2 * np.pi) - np.pi
+    return int(round(float(steps.sum()) / (2 * np.pi)))
+
+
 def per_call_circle_values(F, r: float, n: int, derivative: int = 0) -> np.ndarray:
     """F, F' or F'' on |z| = r at the angles 2 pi k/n, everything rebuilt
     on each call: the closed form on the points, else the series'

@@ -66,6 +66,9 @@ AUTOM64 = PIPE(["build", "koebe", "--order", "64"], ["transform", "autom", "--si
 LIBERA_FILE = {"g.json": PIPE(["build", "koebe", "--order", "64"], ["transform", "libera"])}
 #: c_0 = 0.5: z f'/f and f/z have a pole at the centre
 OFF_CENTRE = json.dumps({"order": 3, "coeffs": [[0.5, 0], [1, 0], [1, 0], [0, 0]]})
+#: z - z^2/0.99: f vanishes at 0.99, a rung of the radius ladder past the
+#: first failure of the starlike test
+ZERO_AT_099 = json.dumps({"order": 2, "coeffs": [[0, 0], [1, 0], [-1 / 0.99, 0]]})
 
 CASES = [
     # build: every stock tag, the default order, an unknown tag
@@ -243,6 +246,10 @@ CASES = [
      AUTOM64, LIBERA_FILE),
     ("radius-starlike-off-centre", ["radius", "starlike"], OFF_CENTRE, {}),
     ("radius-ratio-positive-off-centre", ["radius", "ratio-positive"], OFF_CENTRE, {}),
+    # a ladder rung beyond the first failure where the denominator vanishes
+    ("radius-starlike-zero-at-099-trace", ["radius", "starlike", "--trace"], ZERO_AT_099, {}),
+    ("check-starlike-zero-at-099", ["check", "--class", "starlike", "--r", "0.99"],
+     ZERO_AT_099, {}),
     # functional: every kind
     ("functional-fekete", ["functional", "fekete", "--alpha", "0.25", "--function", "koebe",
                            "--order", "8"], "", {}),

@@ -39,6 +39,8 @@ from schlicht.probe import (
     RADIUS_CAP,
     _circle_sampler,
     _class_quantity,
+    _coeff_sampler,
+    _stack,
     _has_proper_crossing,
     _polyline_injective,
     _winding_number,
@@ -63,8 +65,10 @@ from oracles import (
     mp_circle_values,
     per_call_circle_values,
     per_call_class_quantity,
+    per_call_coeff_values,
     polyval,
     random_coeffs,
+    wrapped_winding_number,
 )
 
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
@@ -263,6 +267,57 @@ class TestRadiusSolve:
         # a nan or inf tolerance would stop bisection before its first step
         with pytest.raises(InvalidParameter):
             radius_solve(lambda r: r < 0.4, tol=tol)
+
+
+#: z - z^2/0.99: f vanishes at 0.99, a ladder rung past the first failure
+#: of its starlike and convex tests, so f/z and f' vanish on that circle.
+ZERO_AT_099 = TruncatedSeries([0.0, 1.0, -1 / 0.99])
+
+
+class TestLookahead:
+    """A solve samples radii ahead of its walk; only the radii the walk
+    reads are checked, counted and traced."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-300])
+    @pytest.mark.parametrize("edge", [INNER_RADIUS * 2, 0.4123, 0.98, 1.0])
+    def test_scalar_predicate_called_once_per_trace_entry(self, tol, edge):
+        calls = []
+
+        def below(r):
+            calls.append(r)
+            return r < edge
+
+        res = radius_solve(below, tol=tol)
+        assert calls == [r for r, _ in res.trace]
+        assert res.capped == (edge == 1.0)
+
+    def test_singular_rung_past_the_first_failure(self):
+        # the ladder block samples r = 0.99, where D vanishes; no warning
+        # (an error under this suite's filterwarnings) and no raise
+        res = class_radius("starlike", ZERO_AT_099)
+        assert (res.lo, res.hi, len(res.trace)) == (0.4949996948242189, 0.495000457763672, 27)
+        res = class_radius("convex", ZERO_AT_099)
+        assert (res.lo, res.hi) == (0.24749984741210945, 0.24750061035156257)
+        with pytest.raises(EvaluationSingularity, match="denominator vanished"):
+            class_predicate("starlike", ZERO_AT_099, 0.99)
+
+    def test_pole_past_the_first_failure(self):
+        # f' = 1 - 2z inside |z| = 0.98 and a pole beyond: local univalence
+        # fails from 1/2 on, and the block holding the 0.99 rung is read
+        # only up to the failure at 0.5
+        fp = lambda z: np.where(np.abs(z) < 0.98, 1 - 2 * z, np.inf)
+        f = NamedFunction("pole", TruncatedSeries([0.0, 1.0, -1.0]), fp, fp)
+        res = local_univalence_radius(f, n_angles=64)
+        assert res.lo < 0.5 <= res.hi and max(r for r, _ in res.trace) == 0.5
+        with pytest.raises(EvaluationSingularity, match="non-finite"):
+            class_predicate("local_univalence", f, 0.99, 64)
+
+    def test_bisection_stops_between_adjacent_floats(self):
+        res = class_radius("convex", koebe(16), tol=1e-300)
+        radii = [r for r, _ in res.trace]
+        assert len(set(radii)) == len(radii)
+        assert res.hi == np.nextafter(res.lo, 1)
+        assert res.iterations == len(radii) - radii.index(0.3) - 1
 
 
 #: z + a_2 z^2 + ... + a_8 z^8 with a zero of f' at |z| = 0.3927581
@@ -479,6 +534,34 @@ class TestEnclosesZero:
         touching = circle_points(0.5, 64) - 0.5 - 1e-12
         assert _winding_number(touching) == 0
         assert encloses_zero(touching)
+
+
+class TestWindingByWrapCount:
+    """_winding_number counts wraps where the oracle sums the turns
+    wrapped by the remainder; the two agree loop by loop."""
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_seeded_loops(self, n):
+        rng = np.random.default_rng(n)
+        ulp = np.spacing(np.pi)
+        # steps of either sign near 0, anywhere in (-pi, pi), or within
+        # a few ulps of +-pi
+        near_pi = rng.choice([-1.0, 1.0], (2000, n)) * (np.pi + ulp * rng.integers(-4, 5, (2000, n)))
+        steps = np.select(
+            [rng.random((2000, n)) < 1 / 3, rng.random((2000, n)) < 1 / 2],
+            [rng.normal(0, 0.1, (2000, n)), rng.uniform(-np.pi, np.pi, (2000, n))],
+            near_pi,
+        )
+        loops = rng.uniform(0.5, 2.0, (2000, n)) * np.exp(1j * np.cumsum(steps, axis=1))
+        got = _winding_number(loops)
+        assert got.tolist() == [wrapped_winding_number(loop) for loop in loops]
+        assert got.tolist() == [_winding_number(loop) for loop in loops]
+        assert len(set(got.tolist())) > 3
+
+    def test_turn_of_exactly_pi(self):
+        # the step of pi from 1 to -1 wraps to -pi, both ways
+        loop = np.array([1, 1j, -1, -1j, 1, -1], dtype=complex)
+        assert _winding_number(loop) == wrapped_winding_number(loop) == 0
 
 
 class TestInclusionChains:
@@ -761,9 +844,60 @@ def _sampler_functions():
     ]
 
 
+class TestBlockRows:
+    """Each row of a block, one circle among many in one DFT, has the
+    bits of that circle sampled alone."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_coeff_sampler_and_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([8, 9, 16, 64, 100, 256, 257, 2048]))
+        # coefficient counts below, at and above the angle count
+        lengths = rng.integers(2, 3 * n, size=2)
+        a, b = (random_coeffs(rng, int(m) - 1) for m in lengths)
+        radii = rng.uniform(INNER_RADIUS, RADIUS_CAP, int(rng.integers(1, 40)))
+        rows = _coeff_sampler(a, n)(radii)
+        stacked = _coeff_sampler(_stack(a, b), n)(radii)
+        assert rows.shape == (len(radii), n) and stacked.shape == (len(radii), 2, n)
+        for r, row, pair in zip(radii, rows, stacked):
+            want = per_call_coeff_values(a, r, n)
+            assert np.array_equal(_bits(row), _bits(want)), (n, lengths, r)
+            assert np.array_equal(_bits(pair[0]), _bits(want)), (n, lengths, r)
+            assert np.array_equal(_bits(pair[1]), _bits(per_call_coeff_values(b, r, n)))
+
+    @pytest.mark.parametrize("tag", sorted(STOCK_FUNCTIONS))
+    @pytest.mark.parametrize("n", [8, 64, 2048])
+    def test_closed_forms(self, tag, n):
+        nf = named_function(tag, 64)
+        radii = np.linspace(INNER_RADIUS, RADIUS_CAP, 23)
+        for d in range(2):
+            rows = _circle_sampler(nf, n, d)(radii)
+            for r, row in zip(radii, rows):
+                assert np.array_equal(_bits(row), _bits(per_call_circle_values(nf, r, n, d)))
+
+    @pytest.mark.parametrize("order, n_angles", TRACE_GRIDS)
+    def test_class_quantities(self, order, n_angles):
+        f = _starlike(5, order)
+        g = alexander_inverse(_starlike(6, order // 2))
+        radii = np.linspace(INNER_RADIUS, RADIUS_CAP, 31)
+        for kind in CLASS_KINDS:
+            q, least_den = _class_quantity(kind, f, n_angles, g)(radii)
+            for r, row, d in zip(radii, q, least_den):
+                want = per_call_class_quantity(kind, f, r, n_angles, g)
+                assert np.array_equal(_bits(row), _bits(want)), (kind, r)
+                if kind != "bounded_turning":
+                    num, den = PREDICATES[kind].quotient(f.coeffs, g.coeffs)
+                    assert d == np.min(np.abs(per_call_coeff_values(den, r, n_angles)))
+
+
+def _bits(w: np.ndarray) -> np.ndarray:
+    """The bit patterns of a complex array, so that equality is bit for bit."""
+    return np.ascontiguousarray(w).view(np.uint64)
+
+
 class TestSamplers:
-    """A sampler built once gives, at every radius, the bits that
-    rebuilding everything at that radius gives."""
+    """A sampler built once gives, at every radius of a block, the bits
+    that rebuilding everything for that one radius gives."""
 
     RADII = (INNER_RADIUS, 0.05, 0.2679, 0.5, 0.9, 0.998)
 
@@ -771,21 +905,23 @@ class TestSamplers:
                              ids=[c[0] for c in _sampler_functions()])
     def test_values(self, label, f, g, n_angles):
         for d in range(2):
-            sampler = _circle_sampler(f, n_angles, d)
-            for r in self.RADII:
+            rows = _circle_sampler(f, n_angles, d)(np.array(self.RADII))
+            for r, row in zip(self.RADII, rows):
                 want = per_call_circle_values(f, r, n_angles, d)
-                assert np.array_equal(sampler(r), want), (d, r)
-                assert np.array_equal(circle_values(f, r, n_angles, d), want), (d, r)
+                assert np.array_equal(_bits(row), _bits(want)), (d, r)
+                assert np.array_equal(_bits(circle_values(f, r, n_angles, d)), _bits(want)), (d, r)
 
     @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
                              ids=[c[0] for c in _sampler_functions()])
     def test_class_quantities_and_traces(self, label, f, g, n_angles):
         for kind in CLASS_KINDS:
-            quantity = _class_quantity(kind, f, n_angles, g)
             res = class_radius(kind, f, g=g, n_angles=n_angles)
-            for r, ok in res.trace:
+            radii = [r for r, _ in res.trace]
+            q, _ = _class_quantity(kind, f, n_angles, g)(np.array(radii))
+            for (r, ok), row in zip(res.trace, q):
                 assert ok == class_predicate(kind, f, r, n_angles, g), (kind, r)
-                assert np.array_equal(quantity(r), per_call_class_quantity(kind, f, r, n_angles, g))
+                want = per_call_class_quantity(kind, f, r, n_angles, g)
+                assert np.array_equal(_bits(row), _bits(want)), (kind, r)
 
     @pytest.mark.parametrize("label, f, g, n_angles", _sampler_functions(),
                              ids=[c[0] for c in _sampler_functions()])
