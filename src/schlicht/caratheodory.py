@@ -172,8 +172,11 @@ class JanowskiParams:
     b: float
 
     def __post_init__(self) -> None:
-        if not (-1.0 <= self.b < self.a <= 1.0):
+        a, b = require_real(self.a, "a"), require_real(self.b, "b")
+        if not -1.0 <= b < a <= 1.0:
             raise InvalidParameter("need -1 <= b < a <= 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def janowski(theta, params: JanowskiParams) -> TruncatedSeries:

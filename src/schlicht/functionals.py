@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .caratheodory import MarginReport
+from .caratheodory import MarginReport, _modulus
 from .errors import InvalidParameter, OrderTooLow
 from .series import (
     TruncatedSeries,
@@ -82,7 +82,7 @@ def bieberbach_check(f: TruncatedSeries) -> MarginReport:
     """
     _require_normalized_order(f, 2)
     ks = np.arange(2, f.order + 1)
-    overshoot = np.abs(f.coeffs[2:]) - ks
+    overshoot = _modulus(f.coeffs[2:]) - ks
     value = max(0.0, float(np.max(overshoot)))
     return MarginReport("bieberbach", value, 0.0, tuple(zip(ks.tolist(), overshoot.tolist())))
 

@@ -28,15 +28,6 @@ F' and its series otherwise; anything else is refused.  schwarz_checks
 samples theta and theta' from the series.  r is checked once per public
 call.
 
-A radius solve asks for its radii in blocks: the ladder is one block,
-and each bisection block holds the midpoints of the next _LOOKAHEAD
-levels.  _holds samples a block's circles _BLOCK_SAMPLES samples at a
-time, when the first of them is asked for, and runs the checks (a
-vanishing denominator, then a non-finite sample, then the kind's test)
-only on the radii the walk reads, in the order a one-radius-at-a-time
-bisection reads them.  A circle sampled ahead of the walk and never
-read cannot raise, warn or enter the trace.
-
 Injectivity needs f' free of zeros inside the circle and a simple
 polyline through the samples (_polyline_injective), which visits no
 more pairs than it must: near samples among neighbours in order of
@@ -69,8 +60,8 @@ RADIUS_CAP = 0.999
 INNER_RADIUS = 1e-3
 
 
-def _require_angles(n_angles: int) -> None:
-    if require_count(n_angles, "n_angles") < 8:
+def _require_angles(n_angles: int, most: int | None = None) -> None:
+    if require_count(n_angles, "n_angles", most=most) < 8:
         raise InvalidParameter("need at least 8 angles")
 
 
@@ -349,7 +340,7 @@ def _univalence_block(kind: str, f, n_angles: int) -> Callable[[np.ndarray], Cal
     def block(radii: np.ndarray) -> Callable[[int], bool]:
         d = derivative(radii)
         finite = np.all(np.isfinite(d), axis=-1)
-        zero_free = (np.min(np.abs(d), axis=-1) > POSITIVITY_EPS) & (_winding_number(d) == 0)
+        zero_free = ~encloses_zero(d)
         w = None if values is None else values(radii)
 
         def outcome(j: int) -> bool:
@@ -387,16 +378,18 @@ class _CirclePredicate:
 def _holds(kind: str, f, n_angles: int | None, g) -> _CirclePredicate:
     """Whether the predicate kind, a key of PREDICATES, holds on circles
     |z| = r at n_angles angles, with the circle samplers built once;
-    n_angles None takes the kind's default.
+    n_angles None takes the kind's default, and injectivity takes at
+    most 4096.
 
     sample(radii) samples the circles _BLOCK_SAMPLES samples at a time,
     each block when the first of its radii is asked for, with numpy's
     floating-point warnings off for that arithmetic only; outcome i runs
-    the checks and the test for radii[i] alone."""
+    the checks (a vanishing denominator, then a non-finite sample, then
+    the kind's test) for radii[i] alone, so a circle whose outcome is
+    never asked for cannot raise or warn."""
     row = PREDICATES[kind]
     n_angles = row.angles if n_angles is None else n_angles
-    if kind == "injectivity" and n_angles > 4096:
-        raise InvalidParameter("n_angles must lie in [8, 4096]")
+    _require_angles(n_angles, 4096 if kind == "injectivity" else None)
     if row.reads_g and g is None:
         raise InvalidParameter(f"{kind} needs a reference function g")
     if row.quotient is None:
@@ -437,8 +430,7 @@ def class_predicate(kind: str, f, r: float, n_angles: int | None = None, g=None)
 def partial_sum(f: TruncatedSeries, k: int) -> NormalizedSeries:
     """Truncate a normalized series to order k, 1 <= k <= order."""
     fs = _as_series(f)
-    if not 1 <= k <= fs.order:
-        raise InvalidParameter("partial sum order must lie in [1, order]")
+    k = require_count(k, "k", positive=True, most=fs.order)
     return NormalizedSeries(fs.coeffs[: k + 1])
 
 
@@ -447,24 +439,17 @@ def partial_sum(f: TruncatedSeries, k: int) -> NormalizedSeries:
 _LADDER = tuple(round(0.05 * k, 2) for k in range(1, 20)) + (0.97, 0.99, RADIUS_CAP)
 
 
-#: Bisection levels asked for in one block, 2**_LOOKAHEAD - 1 midpoints.
-#: In the runs that _BLOCK_SAMPLES cites, radius-probe ops/s against one
-#: radius per step: +8% at depth 1, +21% at 2, +12% at 3, +2% at 4 and
-#: -40% at 5.
-_LOOKAHEAD = 2
-
-
 def _bisection_block(lo: float, hi: float) -> list[float]:
-    """The midpoints of the next _LOOKAHEAD bisection levels of [lo, hi],
-    level by level: the lower and upper halves of the interval whose
-    midpoint is at i have theirs at 2i + 1 and 2i + 2.  Each is
-    0.5 * (a + b) of its interval [a, b], as a bisection step computes it."""
-    bounds, mids = [(lo, hi)], []
-    while len(mids) < 2**_LOOKAHEAD - 1:
-        a, b = bounds[len(mids)]
-        mids.append(0.5 * (a + b))
-        bounds += [(a, mids[-1]), (mids[-1], b)]
-    return mids
+    """The midpoints of the next two bisection levels of [lo, hi]: mid
+    at 0, then those of [lo, mid] at 1 and [mid, hi] at 2, the 2i + 1
+    and 2i + 2 that radius_solve's walk reads after i.  Each is
+    0.5 * (a + b) of its interval [a, b], as a bisection step computes it.
+
+    Two levels, because in the runs that _BLOCK_SAMPLES cites,
+    radius-probe ops/s against one radius per step was +8% at one level,
+    +21% at two, +12% at three, +2% at four and -40% at five."""
+    mid = 0.5 * (lo + hi)
+    return [mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]
 
 
 def radius_solve(
@@ -485,11 +470,12 @@ def radius_solve(
     trace records every evaluation either way.
 
     The radii are asked for in blocks, INNER_RADIUS and the ladder first,
-    then the midpoints of the next _LOOKAHEAD bisection levels
+    then the midpoints of the next two bisection levels
     (_bisection_block), and the walk reads outcomes only along the path
-    a one-radius-at-a-time bisection takes.  A predicate of the probe
-    kinds samples each block's circles together; any other predicate is
-    called once per trace entry, in trace order.
+    a one-radius-at-a-time bisection takes, in its order: a radius asked
+    for and never read does not enter the trace.  A predicate of the
+    probe kinds samples each block's circles together (_holds); any
+    other predicate is called once per trace entry, in trace order.
     """
     if require_real(tol, "tol") <= 0:
         raise InvalidParameter("tolerance must be positive")
@@ -564,11 +550,12 @@ def _winding_number(values: np.ndarray) -> np.ndarray:
     return (x < 0).sum(axis=-1) - (x >= 2 * np.pi).sum(axis=-1)
 
 
-def encloses_zero(values: np.ndarray) -> bool:
-    """Whether the closed loop of samples comes within POSITIVITY_EPS of
-    0 or winds around it: by the argument principle, whether the
-    function sampled on the circle may have a zero inside."""
-    return float(np.min(np.abs(values))) <= POSITIVITY_EPS or bool(_winding_number(values))
+def encloses_zero(values: np.ndarray) -> np.ndarray:
+    """Whether each closed loop of samples along the last axis comes
+    within POSITIVITY_EPS of 0 or winds around it: by the argument
+    principle, whether the function sampled on the circle may have a
+    zero inside."""
+    return (np.min(np.abs(values), axis=-1) <= POSITIVITY_EPS) | (_winding_number(values) != 0)
 
 
 def local_univalence_radius(f, tol: float = 1e-6, n_angles: int | None = None) -> RadiusResult:

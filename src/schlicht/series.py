@@ -237,6 +237,7 @@ def principal_power(f: TruncatedSeries, t: float) -> TruncatedSeries:
     the recurrence obtained from g' = t * g * f' / f, which stays in
     series arithmetic instead of composing with a scalar power.
     """
+    t = require_real(t, "t")
     a = f.coeffs
     _require_off_branch_cut(complex(a[0]))
     n = f.order

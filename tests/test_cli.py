@@ -526,6 +526,32 @@ def test_fft_stays_unimported_outside_the_probes():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_random_stays_unimported_outside_the_draws():
+    """Only the verbs that draw pay for importing numpy.random: build,
+    transform, functional, check and radius leave it unimported, and
+    sample imports it (caratheodory._seed_words_sequence)."""
+    script = """if True:
+        import contextlib, io, sys
+        import schlicht, schlicht.cli
+        assert "numpy.random" not in sys.modules, "numpy.random imported by the package"
+        koebe = io.StringIO()
+        with contextlib.redirect_stdout(koebe):
+            schlicht.cli.main(["build", "koebe", "--order", "8"])
+        for argv in (["transform", "autom", "--sigma", "0.3+0.2j"],
+                     ["transform", "omit", "--xi", "10"], ["functional", "bieberbach"],
+                     ["check", "--class", "starlike", "--r", "0.3"], ["radius", "starlike"]):
+            sys.stdin = io.StringIO(koebe.getvalue())
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert schlicht.cli.main(argv) == 0, argv
+        assert "numpy.random" not in sys.modules, "numpy.random imported by a verb"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert schlicht.cli.main(["sample", "--seed", "1"]) == 0
+        assert "numpy.random" in sys.modules, "sample drew without numpy.random"
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 #: The public names of the package, submodules aside.  A name joins this
 #: list in the same change that gives it a caller.
 PUBLIC_NAMES = [

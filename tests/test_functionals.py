@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schlicht import (
+    DiskAutomorphism,
     SchwarzFunction,
     SquareRoot,
     apply,
@@ -190,6 +191,13 @@ class TestBieberbach:
         rep = bieberbach_check(f)
         assert rep.value == 3.0
         assert rep.margin == -3.0
+
+    def test_overshoots_take_the_scalar_modulus(self):
+        # np.abs of a complex array can differ from abs in the last bit
+        f = apply(DiskAutomorphism(0.3 + 0.2j), koebe(64))
+        rep = bieberbach_check(f)
+        assert [m for _, m in rep.per_index] == [
+            abs(complex(f.coeffs[k])) - k for k in range(2, f.order + 1)]
 
 
 class TestCovering:

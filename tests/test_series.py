@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from schlicht import (
     Dilation,
+    JanowskiParams,
     NormalizedSeries,
     OmittedValue,
     TruncatedSeries,
@@ -19,9 +20,11 @@ from schlicht import (
     evaluate,
     evaluate_many,
     from_starlike,
+    injectivity_probe,
     koebe,
     moebius,
     multiply,
+    partial_sum,
     pommerenke_extremal,
     principal_log,
     principal_power,
@@ -495,6 +498,29 @@ class TestParameterChecks:
         # bool is a numbers.Complex; True must not pass as 1
         with pytest.raises(InvalidParameter, match="finite complex number"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: injectivity_probe(koebe(8), 0.5, "x"),
+        lambda: partial_sum(koebe(8), True),
+        lambda: partial_sum(koebe(8), 2.0),
+        lambda: principal_power(moebius(8), True),
+        lambda: principal_power(moebius(8), "x"),
+        lambda: JanowskiParams(True, False),
+        lambda: JanowskiParams("x", 0.0),
+        lambda: JanowskiParams(0.5, "x"),
+    ], ids=["injectivity_angles_str", "partial_sum_bool", "partial_sum_float",
+            "power_bool", "power_str", "janowski_bools", "janowski_a_str", "janowski_b_str"])
+    def test_shared_validators_refuse(self, call):
+        with pytest.raises(InvalidParameter):
+            call()
+
+    def test_shared_validators_accept_numpy_scalars(self):
+        assert injectivity_probe(koebe(8), 0.4, np.int64(64))
+        assert np.array_equal(partial_sum(koebe(8), np.int64(2)).coeffs, [0, 1, 2])
+        got = principal_power(moebius(8), np.float64(0.5)).coeffs
+        assert got.tobytes() == principal_power(moebius(8), 0.5).coeffs.tobytes()
+        params = JanowskiParams(np.float64(0.5), np.int64(-1))
+        assert (params.a, params.b) == (0.5, -1.0)
 
     def test_complex_accepts_reals_and_numpy_scalars(self):
         assert require_complex(2, "xi") == 2 + 0j
