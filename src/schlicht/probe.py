@@ -30,9 +30,9 @@ call.
 
 Injectivity needs f' free of zeros inside the circle and a simple
 polyline through the samples (_polyline_injective), which visits no
-more pairs than it must: near samples among neighbours in order of
-real part, crossings by a sweep over the segments' bounding boxes in
-bounded chunks.
+more pairs than it must: near samples and crossings are both found by
+one sweep over the segments' bounding boxes grown by 1e-9, in bounded
+chunks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .caratheodory import MarginReport, _as_schwarz, _worst_index
+from .caratheodory import MarginReport, _as_schwarz, _modulus, _worst_index
 from .errors import (
     DegenerateAtCenter,
     EvaluationSingularity,
@@ -185,7 +185,7 @@ def schwarz_checks(
         raise InvalidParameter("radii must be an iterable of radii") from None
     if not radii:
         raise InvalidParameter("need at least one radius")
-    w = np.abs(_coeff_sampler(_stack(a, _derivative_coeffs(a)), n_angles)(np.array(radii)))
+    w = _modulus(_coeff_sampler(_stack(a, _derivative_coeffs(a)), n_angles)(np.array(radii)))
     av, dv = w[:, 0].ravel(), w[:, 1].ravel()
     az = np.repeat(radii, n_angles)
     return (
@@ -273,8 +273,8 @@ PREDICATES = {
 
 
 def predicate_kind(name: str) -> str:
-    """The key of PREDICATES that name spells, reading '-' as '_'."""
-    kind = name.replace("-", "_")
+    """The key of PREDICATES that name, a string, spells, reading '-' as '_'."""
+    kind = name.replace("-", "_") if isinstance(name, str) else None
     if kind not in PREDICATES:
         raise InvalidParameter(f"unknown predicate kind: {name!r}")
     return kind
@@ -571,61 +571,42 @@ def local_univalence_radius(f, tol: float = 1e-6, n_angles: int | None = None) -
 _NEAR_PAIR_EPS = 1e-9
 
 
-def _has_near_pair(w: np.ndarray) -> bool:
-    """Any two samples within _NEAR_PAIR_EPS of each other.
-
-    |w_i - w_j| is at least |Re w_i - Re w_j| in floats too (hypot never
-    rounds below its larger argument), so only pairs whose real parts
-    lie within the threshold qualify.  In order of real part, the k-th
-    neighbours are compared for k = 1, 2, ...; a sample whose k-th
-    neighbour is already beyond the threshold in real part has no nearer
-    one further on, so the samples still in play shrink at each k until
-    none is left.
-    """
-    w = w[np.argsort(w.real, kind="stable")]
-    x = w.real
-    p = np.arange(len(w))
-    k = 1
-    while True:
-        p = p[p + k < len(w)]
-        p = p[x[p + k] - x[p] <= _NEAR_PAIR_EPS]
-        if p.size == 0:
-            return False
-        if np.any(np.abs(w[p + k] - w[p]) <= _NEAR_PAIR_EPS):
-            return True
-        k += 1
-
-
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u.real * v.imag - u.imag * v.real
 
 
-#: Segment pairs tested per step of the crossing sweep: its memory is
+#: Segment pairs tested per step of the contact sweep: its memory is
 #: bounded by this, whatever the number of pairs whose boxes meet.
 _SWEEP_CHUNK = 1 << 15
 
 
-def _has_proper_crossing(a: np.ndarray, b: np.ndarray) -> bool:
-    """Any pair of segments [a_i, b_i], [a_j, b_j] crossing transversally.
+def _has_self_contact(a: np.ndarray, b: np.ndarray) -> bool:
+    """Any two segments [a_i, b_i], [a_j, b_j] whose start points lie
+    within _NEAR_PAIR_EPS of each other, or that cross transversally.
 
-    Two segments can cross only if their bounding boxes meet.  With the
-    segments sorted by left x-end, the partners of the p-th that come
-    after it and meet it in x are the next ones up to the first whose
-    left end lies right of its right end (searchsorted, side="right",
-    so boxes that only touch still count).  Those pairs are generated
-    in chunks of _SWEEP_CHUNK, the ones whose y-extents also meet are
-    kept, and the orientation test runs on them alone, returning at the
-    first crossing.  The test is symmetric in (i, j), so each unordered
-    pair is tested once.  Shared endpoints (adjacent segments of the
-    polyline) give zero orientation products and are excluded by the
-    strict inequalities.
+    Either contact needs the segments' bounding boxes, grown by
+    _NEAR_PAIR_EPS, to meet: start points that near are as near in real
+    and in imaginary part (hypot never rounds below its larger
+    argument), and a crossing needs the boxes themselves to meet.  With
+    the segments sorted by left x-end, the partners of the p-th that
+    come after it and meet it in grown x are the next ones up to the
+    first whose grown left end lies right of its grown right end
+    (searchsorted, side="right", so boxes that only touch still count).
+    Those pairs are generated in chunks of _SWEEP_CHUNK and the ones
+    whose grown y-extents also meet are kept; their start points are
+    compared, and the orientation test runs on the pairs whose own boxes
+    meet, returning at the first contact.  Both tests are symmetric in
+    (i, j), so each unordered pair is tested once.  Shared endpoints
+    (adjacent segments of the polyline) give zero orientation products
+    and are excluded by the strict inequalities.
     """
+    eps = _NEAR_PAIR_EPS
     u = b - a
     xlo, xhi = np.minimum(a.real, b.real), np.maximum(a.real, b.real)
     ylo, yhi = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
     order = np.argsort(xlo, kind="stable")
     # pairs (p, q), p < q, in sorted positions: q runs over p+1 .. end[p]-1
-    end = np.searchsorted(xlo[order], xhi[order], side="right")
+    end = np.searchsorted(xlo[order] - eps, xhi[order] + eps, side="right")
     counts = end - np.arange(1, len(a) + 1)
     stop = np.cumsum(counts)
     total = int(stop[-1])
@@ -634,7 +615,12 @@ def _has_proper_crossing(a: np.ndarray, b: np.ndarray) -> bool:
         p = np.searchsorted(stop, t, side="right")
         i = order[p]
         j = order[p + 1 + t - (stop[p] - counts[p])]
-        meet = (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i])
+        near = (ylo[i] - eps <= yhi[j] + eps) & (ylo[j] - eps <= yhi[i] + eps)
+        i, j = i[near], j[near]
+        if np.any(np.abs(a[i] - a[j]) <= eps):
+            return True
+        # xlo[i] <= xlo[j] <= xhi[j] by the sort
+        meet = (xlo[j] <= xhi[i]) & (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i])
         i, j = i[meet], j[meet]
         d1 = _cross(u[j], a[i] - a[j])
         d2 = _cross(u[j], b[i] - a[j])
@@ -650,17 +636,16 @@ def _polyline_injective(w: np.ndarray) -> bool:
     samples pairwise distinct beyond 1e-9 and no transversal
     self-crossing.
 
-    Neither test visits all n^2 pairs: near pairs are looked for among
-    neighbours in order of real part (_has_near_pair), crossings only
-    between segments whose bounding boxes meet (_has_proper_crossing),
-    so a pair whose boxes are apart is never reported, where an
-    all-pairs orientation test could report one from rounding.  Time
-    is O(n log n) plus the pairs whose boxes meet in x: about n on a
-    curve that crosses each vertical line a few times, up to n^2 / 2 on
-    one whose segments all span one x-range.  Memory is
-    O(n + _SWEEP_CHUNK) either way.
+    Every sample starts one segment, so one sweep over the segments'
+    bounding boxes grown by 1e-9 (_has_self_contact) finds both without
+    visiting all n^2 pairs, and a pair whose own boxes are apart is
+    never tested for a crossing, where an all-pairs orientation test
+    could report one from rounding.  Time is O(n log n) plus the pairs
+    whose grown boxes meet in x: about n on a curve that crosses each
+    vertical line a few times, up to n^2 / 2 on one whose segments all
+    span one x-range.  Memory is O(n + _SWEEP_CHUNK) either way.
     """
-    return not (_has_near_pair(w) or _has_proper_crossing(w, np.roll(w, -1)))
+    return not _has_self_contact(w, np.roll(w, -1))
 
 
 def injectivity_probe(f, r: float, n_angles: int | None = None) -> bool:

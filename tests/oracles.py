@@ -384,10 +384,11 @@ def pommerenke_margin(c1: complex, c2: complex) -> float:
 def schwarz_margins(az, vals, dvals) -> tuple[np.ndarray, np.ndarray]:
     """The margin lists of the two Schwarz bounds, |z| - |theta(z)| and
     (1 - |theta(z)|^2)/(1 - |z|^2) - |theta'(z)|, from the values of theta
-    and theta' at grid points of moduli az."""
-    mag = az - np.abs(vals)
-    dbound = (1.0 - np.abs(vals) ** 2) / (1.0 - az**2)
-    return mag, dbound - np.abs(dvals)
+    and theta' at grid points of moduli az, each modulus the scalar abs."""
+    modulus = lambda values: np.array([abs(complex(v)) for v in values])
+    mag = az - modulus(vals)
+    dbound = (1.0 - modulus(vals) ** 2) / (1.0 - az**2)
+    return mag, dbound - modulus(dvals)
 
 
 def det_cofactor(m: np.ndarray) -> complex:

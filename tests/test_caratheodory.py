@@ -473,6 +473,22 @@ class TestSchwarzChecks:
         assert magnitude.margin == 0.3
         assert {-m for _, m in magnitude.per_index} == {0.3, 0.6, 0.9, 0.95}
 
+    def test_overshoots_take_the_scalar_modulus(self):
+        # np.abs of a complex array differs from the scalar abs in the
+        # last bit for about a third of inputs; the overshoots are those
+        # of abs(complex(sample)) on every circle
+        theta = h_to_schwarz(sample(5, 3, order=16))
+        radii = (0.3, 0.6, 0.9, 0.95)
+        magnitude, derivative = schwarz_checks(theta, radii)
+        mags, ders = [], []
+        for r in radii:
+            for v, d in zip(circle_values(theta, r, 64), circle_values(theta, r, 64, 1)):
+                m = abs(complex(v))
+                mags.append(m - r)
+                ders.append(abs(complex(d)) - (1.0 - m * m) / (1.0 - r * r))
+        assert [m for _, m in magnitude.per_index] == mags
+        assert [m for _, m in derivative.per_index] == ders
+
     def test_radii_any_iterable(self):
         theta = h_to_schwarz(sample(3, 2, order=16))
         assert schwarz_checks(theta, radii=iter([0.5])) == schwarz_checks(theta, radii=(0.5,))

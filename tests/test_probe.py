@@ -41,7 +41,7 @@ from schlicht.probe import (
     _class_quantity,
     _coeff_sampler,
     _stack,
-    _has_proper_crossing,
+    _has_self_contact,
     _polyline_injective,
     _winding_number,
     circle_angles,
@@ -416,6 +416,13 @@ class TestPredicateTable:
             with pytest.raises(InvalidParameter):
                 predicate_kind(name)
 
+    @pytest.mark.parametrize("kind", [None, 3, b"starlike"])
+    @pytest.mark.parametrize("entry", [class_predicate, class_radius])
+    def test_kind_not_a_string(self, entry, kind):
+        args = (kind, koebe(8), 0.5) if entry is class_predicate else (kind, koebe(8))
+        with pytest.raises(InvalidParameter, match="unknown predicate kind"):
+            entry(*args)
+
     @pytest.mark.parametrize("kind", list(PREDICATES))
     def test_overflow_is_a_singularity(self, kind):
         # f' and f overflow to inf on every circle; a NaN sample must
@@ -788,9 +795,15 @@ class TestInjectivityOracle:
             ([0, 1j, 1 + 1j, 1 + 2j, 2j, 3j, -1 + 3j, -1], True),
             # ... and a horizontal segment crossing one of them
             ([0, 1j, 1 + 1j, 1 + 2j, 2j, 3j, -1 + 3j, -1 + 0.5j, 2 + 0.5j, 2 - 1j], False),
+            # two lobes touching at the origin, the segments from the two
+            # near samples apart in x: only the grown boxes meet.  7.1e-10
+            # apart, the samples count as one point ...
+            ([0, -1 + 1j, -2, -1 - 1j, 5e-10 + 5e-10j, 1 - 1j, 2, 1 + 1j], False),
+            # ... and 1.13e-9 apart, they do not
+            ([0, -1 + 1j, -2, -1 - 1j, 8e-10 + 8e-10j, 1 - 1j, 2, 1 + 1j], True),
         ],
         ids=["repeated", "apart-in-imag", "pinch", "figure-eight", "collinear-overlap",
-             "vertical-tie", "vertical-crossed"],
+             "vertical-tie", "vertical-crossed", "lobes-touching", "lobes-apart"],
     )
     def test_hand_built(self, points, expected):
         w = np.array(points, dtype=complex)
@@ -802,7 +815,7 @@ class TestInjectivityOracle:
         # so it reports what the all-pairs test reports, rounding included
         a, b = np.array(TOUCHING[0::2]), np.array(TOUCHING[1::2])
         assert has_proper_crossing(a, b)
-        assert _has_proper_crossing(a, b)
+        assert _has_self_contact(a, b)
 
     def test_apart_boxes_are_not(self):
         # the one difference: pairs whose boxes are apart are never tested,
