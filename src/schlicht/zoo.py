@@ -143,7 +143,11 @@ def named_function(tag: str, order: int = DEFAULT_ORDER) -> NamedFunction:
 
 # The constructors below work on rows: c has shape (batch, len) and row
 # b of the result is the constructor applied to row b of c.  The public
-# functions call them with one row; report_suite with many.
+# functions pass one row and report_suite a block of many.
+# _starlike_rows runs one row by a BLAS dot per coefficient and a block
+# by a matmul slice per coefficient across its rows, with the same bits
+# per row; _close_to_convex_rows runs matmul slices for both, as nothing
+# builds close-to-convex series one at a time in bulk.
 
 
 def _normalized_rows(batch: int, n: int) -> np.ndarray:
@@ -157,9 +161,17 @@ def _starlike_rows(c: np.ndarray) -> np.ndarray:
     out = _normalized_rows(len(c), n)
     # c[k - j] for j = 1..k-1 is reverse[n - k : n - 1], a view into one
     # reversed copy per call (a copy per k costs a one-row call at order
-    # 256 about 20%).  Each (1, k-1) @ (k-1, 1) matmul slice is the BLAS
-    # dot product that np.dot makes of the same vectors, so every row
-    # carries the per-series bits.
+    # 256 about 20%).  One row (from_starlike) runs np.dot on 1-D views:
+    # a matmul slice per k would pay the gufunc overhead n times, about
+    # 2.5x the time at order 256.  A block (report_suite) runs one
+    # (1, k-1) @ (k-1, 1) matmul slice per k across its rows.  Both call
+    # the BLAS dot product of the same vectors, so every row carries the
+    # per-series bits.
+    if len(c) == 1:
+        a, reverse = out[0], c[0, ::-1].copy()
+        for k in range(2, n + 1):
+            a[k] = np.dot(a[1:k], reverse[n - k : n - 1]) / (k - 1)
+        return out
     reverse = c[:, ::-1, None].copy()
     row = out[:, None, :]
     for k in range(2, n + 1):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -276,11 +276,17 @@ class TestConstructorSweeps:
 
 
 class TestConstructorRows:
-    # The constructors run on (batch, order + 1) arrays; a public call is
-    # a batch of one row.  Every row of a batch must carry the bits of
-    # the one-row call and of the per-series loops they replaced, for any
-    # order and comparison function g.
+    # The constructors run on (batch, order + 1) arrays; a public call
+    # passes one row, which from_starlike runs by np.dot per coefficient,
+    # and report_suite a block, which runs by matmul slices.  Every row of
+    # a block must carry the bits of the one-row call and of the
+    # per-series loops they replaced, for any order and comparison
+    # function g.  The examples are the orders whose series the benchmark
+    # set-ups build one at a time (64, 128 and 256 after from_starlike).
     @given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @example(63, 0, 8)
+    @example(127, 1, 3)
+    @example(255, 2, 5)
     @settings(max_examples=40, deadline=None)
     def test_one_row_equals_rows_of_a_batch(self, order, seed, atoms):
         seeds = np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
