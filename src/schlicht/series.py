@@ -323,7 +323,7 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
     coefficients instead loses all precision beyond modest orders: those
     intermediates grow like (1/(1-|sigma|))^N.
     """
-    sigma = complex(sigma)
+    sigma = require_complex(sigma, "automorphism center")
     if abs(sigma) >= 1:
         raise InvalidParameter("automorphism center must satisfy |sigma| < 1")
     n = f.order
@@ -388,7 +388,7 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
 
 def evaluate(f: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the truncating polynomial at a point."""
-    return complex(evaluate_many(f, z))
+    return complex(evaluate_many(f, require_complex(z, "point")))
 
 
 def evaluate_many(f: TruncatedSeries, zs: np.ndarray) -> np.ndarray:

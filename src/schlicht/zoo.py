@@ -143,11 +143,8 @@ def named_function(tag: str, order: int = DEFAULT_ORDER) -> NamedFunction:
 
 # The constructors below work on rows: c has shape (batch, len) and row
 # b of the result is the constructor applied to row b of c.  The public
-# functions pass one row and report_suite a block of many.
-# _starlike_rows runs one row by a BLAS dot per coefficient and a block
-# by a matmul slice per coefficient across its rows, with the same bits
-# per row; _close_to_convex_rows runs matmul slices for both, as nothing
-# builds close-to-convex series one at a time in bulk.
+# functions pass one row and report_suite a block of many; both
+# constructors take the one-row and block paths of _window_dots.
 
 
 def _normalized_rows(batch: int, n: int) -> np.ndarray:
@@ -156,38 +153,39 @@ def _normalized_rows(batch: int, n: int) -> np.ndarray:
     return out
 
 
-def _starlike_rows(c: np.ndarray) -> np.ndarray:
-    n = c.shape[1]  # output order
-    out = _normalized_rows(len(c), n)
-    # c[k - j] for j = 1..k-1 is reverse[n - k : n - 1], a view into one
+def _window_dots(out: np.ndarray, x: np.ndarray, c: np.ndarray, shift: int) -> np.ndarray:
+    """out[:, k] = (sum_{j<k} x[:, j] c[:, k-j]) / (k - shift), k = 2..n in turn."""
+    n, m = out.shape[1] - 1, c.shape[1]
+    # c[k - j] for j = 1..k-1 is reverse[m - k : m - 1], a view into one
     # reversed copy per call (a copy per k costs a one-row call at order
-    # 256 about 20%).  One row (from_starlike) runs np.dot on 1-D views:
-    # a matmul slice per k would pay the gufunc overhead n times, about
-    # 2.5x the time at order 256.  A block (report_suite) runs one
-    # (1, k-1) @ (k-1, 1) matmul slice per k across its rows.  Both call
-    # the BLAS dot product of the same vectors, so every row carries the
-    # per-series bits.
-    if len(c) == 1:
-        a, reverse = out[0], c[0, ::-1].copy()
+    # 256 about 20%).  One row runs np.dot on 1-D views: a matmul slice
+    # per k would pay the gufunc overhead n times, about 2.5x the time at
+    # order 256.  A block runs one (1, k-1) @ (k-1, 1) matmul slice per k
+    # across its rows.  Both call the BLAS dot product of the same
+    # vectors, so every row carries the per-series bits.
+    if len(out) == 1:
+        a, row, reverse = out[0], x[0], c[0, ::-1].copy()
         for k in range(2, n + 1):
-            a[k] = np.dot(a[1:k], reverse[n - k : n - 1]) / (k - 1)
+            a[k] = np.dot(row[1:k], reverse[m - k : m - 1]) / (k - shift)
         return out
     reverse = c[:, ::-1, None].copy()
-    row = out[:, None, :]
+    row = x[:, None, :]
     for k in range(2, n + 1):
-        out[:, k] = (row[:, :, 1:k] @ reverse[:, n - k : n - 1])[:, 0, 0] / (k - 1)
+        out[:, k] = (row[:, :, 1:k] @ reverse[:, m - k : m - 1])[:, 0, 0] / (k - shift)
     return out
+
+
+def _starlike_rows(c: np.ndarray) -> np.ndarray:
+    out = _normalized_rows(len(c), c.shape[1])
+    return _window_dots(out, out, c, 1)
 
 
 def _close_to_convex_rows(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """b is the coefficient vector of g, shared by every row."""
-    m = c.shape[1]
-    n = min(len(b) - 1, m)
-    out = _normalized_rows(len(c), n)
-    jb = (np.arange(n + 1) * b[: n + 1])[None, None, :]
-    reverse = c[:, ::-1, None].copy()
-    for k in range(2, n + 1):
-        out[:, k] = b[k] + (jb[:, :, 1:k] @ reverse[:, m - k : m - 1])[:, 0, 0] / k
+    n = min(len(b) - 1, c.shape[1])
+    out = _window_dots(_normalized_rows(len(c), n), (np.arange(n + 1) * b[: n + 1])[None], c, 0)
+    # b_k added after the loop: the bits of b_k + (...) in it, as no dot reads a_j
+    out[:, 2:] += b[2 : n + 1]
     return out
 
 

@@ -390,6 +390,15 @@ class TestMobiusRecompose:
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("kernel", [evaluate, mobius_recompose])
+@pytest.mark.parametrize("value", ["0.5", None, float("nan"), complex("inf"), True, False])
+def test_point_and_centre_are_checked(kernel, value):
+    # a string, None or a bool is not a point of the disk, and a
+    # non-finite one is bad input, not a failed computation
+    with pytest.raises(InvalidParameter, match="must be a finite complex number"):
+        kernel(koebe(8), value)
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=complex).view(np.uint64).tobytes()
 

@@ -277,12 +277,13 @@ class TestConstructorSweeps:
 
 class TestConstructorRows:
     # The constructors run on (batch, order + 1) arrays; a public call
-    # passes one row, which from_starlike runs by np.dot per coefficient,
-    # and report_suite a block, which runs by matmul slices.  Every row of
-    # a block must carry the bits of the one-row call and of the
-    # per-series loops they replaced, for any order and comparison
-    # function g.  The examples are the orders whose series the benchmark
-    # set-ups build one at a time (64, 128 and 256 after from_starlike).
+    # passes one row and report_suite a block, and both constructors take
+    # the one-row path (np.dot per coefficient) and the block path (matmul
+    # slices) of one helper.  Every row of a block must carry the bits of
+    # the one-row call and of the per-series loops they replaced, for any
+    # order and comparison function g, g shorter than h included.  The
+    # examples are the orders whose series the benchmark set-ups build one
+    # at a time (64, 128 and 256 after from_starlike).
     @given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.integers(1, 8))
     @example(63, 0, 8)
     @example(127, 1, 3)
@@ -291,7 +292,9 @@ class TestConstructorRows:
     def test_one_row_equals_rows_of_a_batch(self, order, seed, atoms):
         seeds = np.random.SeedSequence(seed).generate_state(5, dtype=np.uint64)
         c = _sample_rows(_seed_words(seeds), atoms, order)
+        # h's length minus the output order is 0, 1 and order - order // 2
         convex, koebe_g = convex_extremal(order + 1), koebe(order)
+        short = convex_extremal(order // 2 + 1)
         batches = (
             (from_starlike, starlike_loop, zoo._starlike_rows(c)),
             (lambda h: from_close_to_convex(h, convex),
@@ -300,6 +303,9 @@ class TestConstructorRows:
             (lambda h: from_close_to_convex(h, koebe_g),
              lambda x: close_to_convex_loop(x, koebe_g.coeffs),
              zoo._close_to_convex_rows(c, koebe_g.coeffs)),
+            (lambda h: from_close_to_convex(h, short),
+             lambda x: close_to_convex_loop(x, short.coeffs),
+             zoo._close_to_convex_rows(c, short.coeffs)),
         )
         for i, s in enumerate(seeds):
             m = sample_measure(int(s), atoms)
