@@ -31,6 +31,7 @@ from .series import (
     mobius_recompose,
     multiply,
     principal_power,
+    require_center,
     require_complex,
     require_count,
     require_real,
@@ -237,7 +238,7 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
         raise InvalidParameter(f"unknown preserve kind: {kind!r}")
     n = g.order
     if kind == "recenter":
-        moved = mobius_recompose(g, require_complex(t, "t"))
+        moved = mobius_recompose(g, require_center(t, "t"))
         center = moved.coeffs[0]
         if abs(center) <= 1e-12:
             raise ConstantDenominatorZero("g vanishes at the new center")

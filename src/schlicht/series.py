@@ -13,6 +13,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -145,6 +146,15 @@ def require_complex(x, what: str) -> complex:
     if isinstance(x, numbers.Complex) and not isinstance(x, bool) and cmath.isfinite(complex(x)):
         return complex(x)
     raise InvalidParameter(f"{what} must be a finite complex number")
+
+
+def require_center(x, what: str) -> complex:
+    """x as the centre of a disk automorphism: require_complex(x, what),
+    and InvalidParameter unless |x| < 1."""
+    sigma = require_complex(x, what)
+    if abs(sigma) >= 1:
+        raise InvalidParameter("automorphism center must satisfy |sigma| < 1")
+    return sigma
 
 
 def require_count(n, what: str, positive: bool = False, most: int | None = None) -> int:
@@ -305,17 +315,33 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
 
     with M[0, j] = 1 if j = 0 else 0.  An anti-diagonal k + j = d depends
     only on the two before it, so each of the 2N anti-diagonals (N the
-    order) is one vector step over its valid range of k: O(N^2) time.
+    order) is one vector step: O(N^2) time.
 
     The anti-diagonals are held, indexed by j = d - k, in a block of
-    MOBIUS_BLOCK rows.  A full block is flushed into the output at once:
-    one product with c_(d-j) read from sliding windows of c reversed and
-    zero-padded, then one sum down the block with the output as its first
-    row, so output[j] is still added up in ascending k, starting from c_0
-    for j = 0 and +0.0 otherwise: bit for bit the sums of adding each
-    anti-diagonal in as it appears.  Blocks end at d = N as well, so that
-    no padding is added to output[0] after its last term.  Memory is
-    O(MOBIUS_BLOCK * N); no (N+1)^2 table is formed.
+    MOBIUS_BLOCK rows.  Blocks end at d = N and d = 2N, and every
+    anti-diagonal of a block is computed over one column range: the j of
+    some k = d - j in [1, N] on any of its anti-diagonals, j < last for a
+    block of d <= N and j >= first - N for a block of d > N.  The entries
+    this adds to an anti-diagonal's own range change no output bit:
+
+    - k <= 0 (d <= N): M[0, 1] is zeroed once, after anti-diagonal 1.
+      Every later such entry then adds products of +0.0 to a +0.0 and
+      comes out exactly +0.0, the value M[0, j] has for j > 0.
+    - k > N (d > N): the recurrence never lowers k, so no entry with
+      k <= N reads them.  They stay finite and bounded: the only inputs
+      they read from outside the block's range are entries of the block
+      before, all within that block's range.
+
+    A full block is flushed into the output at once: one product with
+    c_(d-j) read from sliding windows of c reversed and zero-padded, then
+    one sum down the block with the output as its first row, so output[j]
+    is still added up in ascending k, starting from c_0 for j = 0 and +0.0
+    otherwise: bit for bit the sums of adding each anti-diagonal in as it
+    appears.  An entry outside its anti-diagonal's range meets only the
+    padding, and each such product is a zero added to a sum that is not
+    -0.0; since blocks end at d = N, output[0], which may be -0.0, gets no
+    padding at all.  Memory is O(MOBIUS_BLOCK * N); no (N+1)^2 table is
+    formed.
 
     The recurrence only multiplies row k - 1 by w, an isometry of H^2,
     so rounding errors are carried along without growth and every power's
@@ -323,77 +349,81 @@ def mobius_recompose(f: TruncatedSeries, sigma: complex) -> TruncatedSeries:
     coefficients instead loses all precision beyond modest orders: those
     intermediates grow like (1/(1-|sigma|))^N.
     """
-    sigma = require_complex(sigma, "automorphism center")
-    if abs(sigma) >= 1:
-        raise InvalidParameter("automorphism center must satisfy |sigma| < 1")
+    sigma = require_center(sigma, "automorphism center")
     n = f.order
     c = f.coeffs
     if sigma == 0 or n == 0:
         return TruncatedSeries(c)
     # block[2 + r, 1 + j] = M[d - j, j] on the block's r-th anti-diagonal d;
     # rows 0 and 1 carry the two anti-diagonals before the block, and
-    # column 0 stands for j = -1, where M is zero.  Entries outside an
-    # anti-diagonal's range go stale, and the recurrence never reads them.
+    # column 0 stands for j = -1, where M is zero
     block = np.zeros((MOBIUS_BLOCK + 2, n + 2), dtype=complex)
     block[1, 1] = 1.0  # M[0, 0]
-    rows = list(block)  # row views slice faster than block[r, a:b]
     centres = np.array([[sigma], [sigma.conjugate()]])
     scaled = np.empty((2, n + 2), dtype=complex)
-    by_sigma, by_sbar = scaled
     terms = np.empty((MOBIUS_BLOCK + 1, n + 1), dtype=complex)
-    # windows[2N - d, j] = c_(d-j) where 1 <= d - j <= N, else 0: the
-    # padding meets stale entries, and each such product is a zero added
-    # to a sum that is not -0.0
+    # windows[2N - d, j] = c_(d-j) where 1 <= d - j <= N, else 0
     padded = np.zeros(3 * n, dtype=complex)
     padded[n : 2 * n] = c[:0:-1]
     windows = sliding_window_view(padded, n + 1)
     out = np.zeros(n + 1, dtype=complex)
     out[0] = c[0]
-    first = 1  # the block's first anti-diagonal
-    # ufuncs take their output positionally: out= costs more than the
-    # arithmetic on short anti-diagonals
-    for d in range(1, 2 * n + 1):
-        r = d - first + 2
-        # columns a..b-1 hold j = d - min(d, N) .. d - max(1, d - N)
-        a, b = (1, d + 1) if d <= n else (d - n + 1, n + 2)
-        new, prev = rows[r][a:b], rows[r - 1]
-        np.multiply(centres, prev[a - 1 : b], scaled[:, : b - a + 1])
-        np.add(by_sigma[1 : b - a + 1], rows[r - 2][a - 1 : b - 1], new)
-        np.subtract(new, by_sbar[: b - a], new)
-        if d <= n:
-            rows[r][d + 1] = 0.0  # M[0, d]
-        if r == MOBIUS_BLOCK + 1 or d == n or d == 2 * n:
-            # Columns jl..jh cover every k = d - j in [1, N] of the block.
-            # With more than one anti-diagonal they are at least two wide,
-            # so numpy adds the rows in turn; one column it would sum
-            # pairwise.  numpy also starts a sum from +0.0, which would turn
-            # a -0.0 in c_0 into +0.0; -0.0 is the exact identity.  The
-            # products go to their own rows: numpy multiplies a single
-            # complex in place by another loop, with other rounding.
-            jl, jh = max(0, first - n), min(n, d - 1)
-            height, width = d - first + 2, jh - jl + 1
-            terms[0, :width] = out[jl : jh + 1]
-            np.multiply(
-                windows[2 * n - d : 2 * n - first + 1][::-1, jl : jh + 1],
-                block[2 : r + 1, jl + 1 : jh + 2],
-                terms[1:height, :width],
-            )
-            np.add.reduce(
-                terms[:height, :width], axis=0, out=out[jl : jh + 1], initial=complex(-0.0, -0.0)
-            )
-            block[:2] = block[r - 1 : r + 1]
-            first = d + 1
+    for first in chain(range(1, n + 1, MOBIUS_BLOCK), range(n + 1, 2 * n + 1, MOBIUS_BLOCK)):
+        last = min(first + MOBIUS_BLOCK - 1, n if first <= n else 2 * n)
+        height = last - first + 1
+        # columns a..b-1: every j = d - k with k in [1, N] on some d of the block
+        a, b = (1, last + 1) if last <= n else (first - n + 1, n + 2)
+        width = b - a
+        products = scaled[:, : width + 1]
+        by_sigma, by_sbar = products[0, 1:], products[1, :-1]
+        # ufuncs take their output positionally: out= costs more than the
+        # arithmetic on short anti-diagonals
+        for d, new, prev, older in zip(
+            range(first, last + 1),
+            block[2 : height + 2, a:b],
+            block[1 : height + 1, a - 1 : b],
+            block[:height, a - 1 : b - 1],
+        ):
+            np.multiply(centres, prev, products)
+            np.add(by_sigma, older, new)
+            np.subtract(new, by_sbar, new)
+            if d == 1:
+                block[2, 2] = 0.0  # M[0, 1]
+        # With more than one anti-diagonal the columns are at least two
+        # wide, so numpy adds the rows in turn; one column it would sum
+        # pairwise.  numpy also starts a sum from +0.0, which would turn a
+        # -0.0 in c_0 into +0.0; -0.0 is the exact identity.  The products
+        # go to their own rows: numpy multiplies a single complex in place
+        # by another loop, with other rounding.
+        terms[0, :width] = out[a - 1 : b - 1]
+        np.multiply(
+            windows[2 * n - last : 2 * n - first + 1][::-1, a - 1 : b - 1],
+            block[2 : height + 2, a:b],
+            terms[1 : height + 1, :width],
+        )
+        np.add.reduce(
+            terms[: height + 1, :width], axis=0, out=out[a - 1 : b - 1], initial=complex(-0.0, -0.0)
+        )
+        block[:2] = block[height : height + 2]
     return TruncatedSeries(out)
 
 
 def evaluate(f: TruncatedSeries, z: complex) -> complex:
     """Horner evaluation of the truncating polynomial at a point."""
-    return complex(evaluate_many(f, require_complex(z, "point")))
+    return complex(evaluate_many(f, z))
 
 
 def evaluate_many(f: TruncatedSeries, zs: np.ndarray) -> np.ndarray:
-    """Horner evaluation at an array of points."""
-    zs = np.asarray(zs, dtype=complex)
+    """Horner evaluation at an array of points; InvalidParameter unless
+    every point is a finite number, not a bool."""
+    try:
+        zs = np.asarray(zs)
+        finite = zs.dtype.kind in "iufc" and bool(np.all(np.isfinite(zs)))
+    except ValueError:  # points nested raggedly
+        finite = False
+    if not finite:
+        raise InvalidParameter("point must be a finite complex number")
+    zs = zs.astype(complex, copy=False)
     acc = np.zeros_like(zs)
     for c in f.coeffs[::-1]:
         acc = acc * zs + c

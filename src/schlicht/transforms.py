@@ -32,6 +32,7 @@ from .series import (
     compose,
     divide,
     mobius_recompose,
+    require_center,
     require_complex,
     require_count,
     require_normalized,
@@ -77,10 +78,7 @@ class DiskAutomorphism:
     sigma: complex
 
     def __post_init__(self) -> None:
-        s = require_complex(self.sigma, "automorphism center")
-        if abs(s) >= 1:
-            raise InvalidParameter("automorphism center must satisfy |sigma| < 1")
-        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "sigma", require_center(self.sigma, "automorphism center"))
 
 
 @dataclass(frozen=True)

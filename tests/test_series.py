@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from schlicht import (
     Dilation,
+    DiskAutomorphism,
     JanowskiParams,
     NormalizedSeries,
     OmittedValue,
@@ -26,6 +27,7 @@ from schlicht import (
     multiply,
     partial_sum,
     pommerenke_extremal,
+    preserve,
     principal_log,
     principal_power,
     sample,
@@ -390,13 +392,30 @@ class TestMobiusRecompose:
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
-@pytest.mark.parametrize("kernel", [evaluate, mobius_recompose])
-@pytest.mark.parametrize("value", ["0.5", None, float("nan"), complex("inf"), True, False])
+@pytest.mark.parametrize("kernel", [evaluate, evaluate_many, mobius_recompose])
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", None, float("nan"), complex("inf"), True, False, [0.5, None], [0.5, complex("inf")],
+     np.array([True, False]), [[0.5], [0.5, 0.5]]],
+)
 def test_point_and_centre_are_checked(kernel, value):
     # a string, None or a bool is not a point of the disk, and a
-    # non-finite one is bad input, not a failed computation
+    # non-finite one is bad input, not a failed computation; nor is an
+    # array of points that holds one, or points nested raggedly
     with pytest.raises(InvalidParameter, match="must be a finite complex number"):
         kernel(koebe(8), value)
+
+
+@pytest.mark.parametrize(
+    "recenter",
+    [lambda s: DiskAutomorphism(s), lambda s: mobius_recompose(koebe(8), s),
+     lambda s: preserve("recenter", moebius(8), s)],
+    ids=["DiskAutomorphism", "mobius_recompose", "preserve"],
+)
+@pytest.mark.parametrize("sigma", [1.0, -1j, 0.6 + 0.8j, 1.5])
+def test_centre_off_the_open_disk_is_refused(recenter, sigma):
+    with pytest.raises(InvalidParameter, match=r"automorphism center must satisfy \|sigma\| < 1"):
+        recenter(sigma)
 
 
 def _bits(x) -> bytes:
@@ -409,7 +428,9 @@ class TestKernelsMatchTheirLoops:
 
     ORDERS = [1, 2, 63, 64, 65, 129, 255, 256, 300]
 
-    @pytest.mark.parametrize("order", ORDERS)
+    # every block of d <= N ends at a multiple of 64 or at N, and every
+    # block of d > N at N + a multiple of 64 or at 2N
+    @pytest.mark.parametrize("order", ORDERS + [127, 128, 191, 192, 193, 320])
     @pytest.mark.parametrize(
         "sigma", [1e-3, 0.095j, 0.99 * cmath.exp(2.3j)], ids=["tiny", "imaginary", "near-edge"]
     )
@@ -417,6 +438,25 @@ class TestKernelsMatchTheirLoops:
         # sigma = 1e-3 drives the powers of w through subnormals
         c = random_coeffs(np.random.default_rng(order), order)
         got = mobius_recompose(TruncatedSeries(c), sigma).coeffs
+        assert _bits(got) == _bits(loop_mobius_recompose(c, sigma))
+
+    @pytest.mark.parametrize("order", [64, 193, 256])
+    def test_mobius_recompose_on_a_dilated_starlike(self, order):
+        # the near centre of the transform chain, |sigma| in [0.09, 0.1],
+        # on the kind of series it recentres
+        f = apply(Dilation(0.5), from_starlike(sample(7, 5, order=order)))
+        sigma = 0.095 * cmath.exp(0.7j)
+        got = mobius_recompose(f, sigma).coeffs
+        assert _bits(got) == _bits(loop_mobius_recompose(f.coeffs, sigma))
+
+    @pytest.mark.parametrize("sigma", [0.999 * cmath.exp(2.3j), 1e-3], ids=["near-edge", "tiny"])
+    def test_mobius_recompose_at_the_largest_order(self, sigma):
+        # a block of d > N also steps entries with k > N, which no output
+        # reads; they must stay finite, or inf * 0 would turn the flush's
+        # padding products into NaN
+        c = random_coeffs(np.random.default_rng(4096), 4096)
+        with np.errstate(over="raise", invalid="raise"):
+            got = mobius_recompose(TruncatedSeries(c), sigma).coeffs
         assert _bits(got) == _bits(loop_mobius_recompose(c, sigma))
 
     @pytest.mark.parametrize("order", ORDERS)
