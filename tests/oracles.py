@@ -531,3 +531,43 @@ def per_call_class_quantity(kind: str, f, r: float, n: int, g=None) -> np.ndarra
                             getattr(g, "series", g).coeffs if row.reads_g else None)
     values = per_call_coeff_values(num, r, n)
     return values if den is None else values / per_call_coeff_values(den, r, n)
+
+
+#: The radii a radius solve scans before it bisects: its innermost
+#: radius 1e-3, then the rungs 0.05, 0.10, ..., 0.95, 0.97, 0.99 and its
+#: cap 0.999, spelled here apart from the library's.
+SOLVE_LADDER = (1e-3,) + tuple(k / 20 for k in range(1, 20)) + (0.97, 0.99, 0.999)
+
+
+def ladder_bisection(predicate, tol: float):
+    """(lo, hi, iterations, capped, trace) of the plainest radius solve:
+    predicate read at one radius at a time, up the SOLVE_LADDER to its
+    first failure, then halving [lo, hi] at 0.5 * (lo + hi) while the
+    width exceeds tol and that midpoint lies strictly between them.
+    None when the predicate fails at the innermost radius; when no rung
+    fails, lo = hi = the cap, with capped set and no bisection."""
+    trace = []
+
+    def holds(r: float) -> bool:
+        trace.append((r, bool(predicate(r))))
+        return trace[-1][1]
+
+    lo = hi = None
+    for r in SOLVE_LADDER:
+        if not holds(r):
+            hi = r
+            break
+        lo = r
+    if lo is None:
+        return None
+    if hi is None:
+        return lo, lo, 0, True, tuple(trace)
+    iterations = 0
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, hi, iterations, False, tuple(trace)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schlicht import (
     Dilation,
@@ -37,6 +39,7 @@ from schlicht.probe import (
     POSITIVITY_EPS,
     PREDICATES,
     RADIUS_CAP,
+    _CirclePredicate,
     _circle_sampler,
     _class_quantity,
     _coeff_sampler,
@@ -57,11 +60,13 @@ from schlicht.series import (
 from schlicht.zoo import STOCK_FUNCTIONS
 
 from oracles import (
+    SOLVE_LADDER,
     circle_points,
     has_proper_crossing,
     horner_class_quantity,
     horner_values,
     injective_all_pairs,
+    ladder_bisection,
     mp_circle_values,
     per_call_circle_values,
     per_call_class_quantity,
@@ -319,6 +324,54 @@ class TestLookahead:
         assert res.hi == np.nextafter(res.lo, 1)
         assert res.iterations == len(radii) - radii.index(0.3) - 1
 
+
+
+#: Step edges t of the predicate r < t: anywhere in (0, 1), on a ladder
+#: rung or a float either side of one, and between INNER_RADIUS and the
+#: first rung.
+STEP_EDGES = st.one_of(
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+    st.sampled_from(SOLVE_LADDER).flatmap(
+        lambda r: st.sampled_from([r, np.nextafter(r, 0), np.nextafter(r, 1)])),
+    st.floats(INNER_RADIUS, 0.05),
+)
+WALK_TOLS = st.sampled_from([0.3, 1e-6, 1e-15, 1e-300])
+
+
+def _blockwise(predicate) -> _CirclePredicate:
+    """predicate as a probe kind presents it: sample(radii) takes a block
+    of radii and returns i -> the outcome on radii[i]."""
+    return _CirclePredicate(lambda radii: lambda i, radii=tuple(radii): bool(predicate(radii[i])))
+
+
+def _assert_walk_matches_oracle(predicate, tol) -> None:
+    want = ladder_bisection(predicate, tol)
+    for solved in (predicate, _blockwise(predicate)):
+        if want is None:
+            with pytest.raises(DegenerateAtCenter, match="already fails at r = 0.001"):
+                radius_solve(solved, tol=tol)
+            continue
+        got = radius_solve(solved, tol=tol)
+        assert (got.lo, got.hi, got.iterations, got.capped, got.trace) == want
+
+
+class TestWalkOracle:
+    """radius_solve reads the radii of a one-radius-at-a-time ladder scan
+    and bisection (tests/oracles.py), in its order, and returns its
+    bracket, step count, cap flag and trace, field for field, whether the
+    predicate is a plain callable or samples blocks of radii.  Runs
+    derandomized, as every hypothesis test here (conftest.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge=STEP_EDGES, tol=WALK_TOLS)
+    def test_step(self, edge, tol):
+        _assert_walk_matches_oracle(lambda r: r < edge, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.floats(1, 200), level=st.floats(-1, 0.999), tol=WALK_TOLS)
+    def test_not_monotone(self, k, level, tol):
+        # cos(k r) > level passes and fails on alternating intervals
+        _assert_walk_matches_oracle(lambda r: math.cos(k * r) > level, tol)
 
 #: z + a_2 z^2 + ... + a_8 z^8 with a zero of f' at |z| = 0.3927581
 #: (np.roots) that the sampled brackets leave out (ROADMAP "Known wrong").
