@@ -244,19 +244,17 @@ def preserve(kind: str, g: TruncatedSeries, t, h: TruncatedSeries | None = None,
             raise ConstantDenominatorZero("g vanishes at the new center")
         return _snap_unit_constant(moved.coeffs / center)
     tr = require_real(t, "t")
+    if kind in ("shrink", "power") and not -1.0 <= tr <= 1.0:
+        raise InvalidParameter(f"{kind} needs t in [-1, 1]")
     if kind == "rotate":
         return TruncatedSeries(g.coeffs * np.exp(1j * tr * np.arange(n + 1)))
     if kind == "shrink":
-        if not -1.0 <= tr <= 1.0:
-            raise InvalidParameter("shrink needs t in [-1, 1]")
         return TruncatedSeries(g.coeffs * tr ** np.arange(n + 1))
     if kind == "value_automorphism":
         num = g + 1j * tr
         den = (1j * tr) * g + 1
         return _snap_unit_constant(divide(num, den).coeffs)
     if kind == "power":
-        if not -1.0 <= tr <= 1.0:
-            raise InvalidParameter("power needs t in [-1, 1]")
         return principal_power(g, tr)
     # power_product
     if h is None or tau is None:

@@ -16,11 +16,11 @@ from .caratheodory import MarginReport, _modulus
 from .errors import InvalidParameter, OrderTooLow
 from .series import (
     TruncatedSeries,
-    require_complex,
     require_count,
     require_normalized,
     require_real,
 )
+from .transforms import OmittedValue
 
 
 def _coeff(f: TruncatedSeries, k: int) -> complex:
@@ -93,8 +93,6 @@ def covering_check(f: TruncatedSeries, xi: complex) -> MarginReport:
     Equality at xi = -1/4 picks out the extremal covering situation.
     """
     _require_normalized_order(f, 2)
-    xi = require_complex(xi, "omitted value")
-    if xi == 0:
-        raise InvalidParameter("omitted value must be nonzero")
+    xi = OmittedValue(xi).xi
     value = abs(_coeff(f, 2) + 1.0 / xi)
     return MarginReport("covering", value, 2.0)

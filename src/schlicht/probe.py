@@ -439,19 +439,6 @@ def partial_sum(f: TruncatedSeries, k: int) -> NormalizedSeries:
 _LADDER = tuple(round(0.05 * k, 2) for k in range(1, 20)) + (0.97, 0.99, RADIUS_CAP)
 
 
-def _bisection_block(lo: float, hi: float) -> list[float]:
-    """The midpoints of the next two bisection levels of [lo, hi]: mid
-    at 0, then those of [lo, mid] at 1 and [mid, hi] at 2, the 2i + 1
-    and 2i + 2 that radius_solve's walk reads after i.  Each is
-    0.5 * (a + b) of its interval [a, b], as a bisection step computes it.
-
-    Two levels, because in the runs that _BLOCK_SAMPLES cites,
-    radius-probe ops/s against one radius per step was +8% at one level,
-    +21% at two, +12% at three, +2% at four and -40% at five."""
-    mid = 0.5 * (lo + hi)
-    return [mid, 0.5 * (lo + mid), 0.5 * (mid + hi)]
-
-
 def radius_solve(
     predicate: Callable[[float], bool],
     tol: float = 1e-6,
@@ -459,23 +446,24 @@ def radius_solve(
 ) -> RadiusResult:
     """Bracket the first radius at which a predicate stops holding.
 
-    The predicate must hold at INNER_RADIUS, otherwise the problem is
-    degenerate at the center and DegenerateAtCenter is raised.  An
-    ascending ladder scan locates the first failure, then bisection
-    narrows the bracket to width <= tol, or until no float lies between
-    lo and hi.  If the ladder reaches RADIUS_CAP with no failure the
-    result is capped there (lo = hi = RADIUS_CAP).  Predicates are
+    Two phases.  The ladder scan reads INNER_RADIUS, then the rungs of
+    _LADDER in ascending order, up to the first failure: a failure at
+    INNER_RADIUS raises DegenerateAtCenter, since the problem is then
+    degenerate at the center, and a ladder with no failure caps the
+    result at RADIUS_CAP (lo = hi = RADIUS_CAP).  Bisection then halves
+    [lo, hi] at 0.5 * (lo + hi) until the width is <= tol, or until that
+    midpoint is lo or hi: no float lies between them.  Predicates are
     assumed monotone in r; the ladder keeps the solver honest when
     truncation artifacts re-validate a predicate near |z| = 1, and the
     trace records every evaluation either way.
 
-    The radii are asked for in blocks, INNER_RADIUS and the ladder first,
-    then the midpoints of the next two bisection levels
-    (_bisection_block), and the walk reads outcomes only along the path
-    a one-radius-at-a-time bisection takes, in its order: a radius asked
-    for and never read does not enter the trace.  A predicate of the
-    probe kinds samples each block's circles together (_holds); any
-    other predicate is called once per trace entry, in trace order.
+    Each phase asks for its radii in blocks: the ladder at once, then
+    the midpoints of the next two bisection levels.  A block is read
+    only along the path a one-radius-at-a-time walk takes, in its order,
+    and a radius asked for and never read does not enter the trace.  A
+    predicate of the probe kinds samples each block's circles together
+    (_holds); any other predicate is called once per trace entry, in
+    trace order.
     """
     if require_real(tol, "tol") <= 0:
         raise InvalidParameter("tolerance must be positive")
@@ -484,35 +472,33 @@ def radius_solve(
     else:
         sample = lambda radii: lambda i: bool(predicate(radii[i]))
     ladder = (INNER_RADIUS,) + _LADDER
-    radii, outcome, i = ladder, sample(ladder), 0
-    lo, hi, iterations, trace = INNER_RADIUS, RADIUS_CAP, 0, []
-    while True:
+    outcome, trace = sample(ladder), []
+    lo = hi = RADIUS_CAP
+    for i, r in enumerate(ladder):
         ok = outcome(i)
-        trace.append((radii[i], ok))
-        if ok:
-            lo = radii[i]
-        else:
-            hi = radii[i]
-        if radii is ladder:
-            if i == 0 and not ok:
-                raise DegenerateAtCenter(
-                    f"{predicate_name} already fails at r = {INNER_RADIUS}"
-                )
-            # the ladder ends at its first failure; when every rung
-            # passes, lo ends at the last, RADIUS_CAP, and hi - lo is 0
-            i = i + 1 if ok else len(ladder)
-            if i < len(ladder):
-                continue
-        else:
-            # the midpoint of the half kept, if the block holds it
-            i, iterations = 2 * i + 1 + ok, iterations + 1
-        mid = 0.5 * (lo + hi)
-        # a midpoint equal to lo or hi: no float lies between them
-        if not (hi - lo > tol and lo < mid < hi):
+        trace.append((r, ok))
+        if not ok:
+            if i == 0:
+                raise DegenerateAtCenter(f"{predicate_name} already fails at r = {INNER_RADIUS}")
+            lo, hi = ladder[i - 1], r
             break
-        if i >= len(radii):
-            radii, i = _bisection_block(lo, hi), 0
-            outcome = sample(radii)
+    iterations = 0
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        # two bisection levels, mid then the midpoints of [lo, mid] and
+        # [mid, hi], read at 2i + 1 + ok after i.  Two, because in the
+        # runs that _BLOCK_SAMPLES cites, radius-probe ops/s against one
+        # radius per step was +8% at one level, +21% at two, +12% at
+        # three, +2% at four and -40% at five
+        mid = 0.5 * (lo + hi)
+        radii = (mid, 0.5 * (lo + mid), 0.5 * (mid + hi))
+        outcome, i = sample(radii), 0
+        # radii[i] is 0.5 * (lo + hi) of the bracket it halves, so this
+        # is the outer loop's test
+        while i < len(radii) and hi - lo > tol and lo < radii[i] < hi:
+            ok = outcome(i)
+            trace.append((radii[i], ok))
+            lo, hi = (radii[i], hi) if ok else (lo, radii[i])
+            i, iterations = 2 * i + 1 + ok, iterations + 1
     return RadiusResult(
         lo=lo,
         hi=hi,

@@ -256,11 +256,11 @@ class TestPreserve:
 
     def test_parameter_ranges(self):
         h = moebius(8)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=r"^shrink needs t in \[-1, 1\]$"):
             preserve("shrink", h, 1.5)
         with pytest.raises(InvalidParameter):
             preserve("recenter", h, 1.0)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=r"^power needs t in \[-1, 1\]$"):
             preserve("power", h, -1.5)
         with pytest.raises(InvalidParameter):
             preserve("power_product", h, 0.7, h=h, tau=0.7)

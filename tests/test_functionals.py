@@ -219,7 +219,7 @@ class TestCovering:
         assert abs(base - near) < 1e-8
 
     def test_zero_xi_rejected(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="^omitted value must be nonzero$"):
             covering_check(koebe(4), 0.0)
 
     def test_non_finite_xi_rejected(self):

@@ -201,6 +201,16 @@ class TestOmittedValue:
         with pytest.raises(OmittedValueAttained):
             apply(OmittedValue(xi), f)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "f - 10 has a root at |z| = 0.734, but the transform checks only the circle where "
+        "the truncation tail is below 1e-3, |z| = 0.546 for koebe(16) (ROADMAP items 9 and 15)"))
+    def test_value_attained_outside_the_checked_circle(self):
+        f = koebe(16)
+        roots = np.abs(np.roots(np.append(f.coeffs[:0:-1], -10.0)))  # of f - 10
+        assert np.sum(roots < 0.75) == 1
+        with pytest.raises(OmittedValueAttained):
+            apply(OmittedValue(10), f)
+
     def test_truncation_zeros_near_the_rim_ignored(self):
         # koebe omits -0.3, though its order-64 truncation takes it
         # 12 times inside |z| = 0.9
